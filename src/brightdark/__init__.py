@@ -40,6 +40,7 @@ from .pulses import (
     PulseMetrics,
     amplitude_closed,
     amplitude_direct,
+    dirichlet,
     intensity_series,
     pulse_metrics,
     unlocked_intensity,
@@ -82,6 +83,7 @@ __all__ = [
     "count_pi_phase_dark",
     "create",
     "dark_census",
+    "dirichlet",
     "enumerate_sign_states",
     "free_spectral_range",
     "from_collective",

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c as SPEED_OF_LIGHT
-
 from .counting import bright_to_dark_ratio
 from .errors import ConfigurationError
 
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 # Published estimates quoted for the reference Ti:Sapphire configuration.
 QUOTED_MODE_COUNT = 4e4
 QUOTED_RATIO = 2.5e-5

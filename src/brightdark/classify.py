@@ -15,7 +15,8 @@ from enum import Enum
 
 from .errors import DegenerateInputError, DimensionMismatchError
 from .fock import ModePhases, StateVector, apply_field
-from .states import CoherentSpec, single_photon_state
+from .pulses import dirichlet
+from .states import CoherentSpec
 
 DEFAULT_TOL = 1e-10
 
@@ -96,6 +97,14 @@ def classify_coherent(
     return Classification(beta, _label_for(beta, beta_max, tol), beta_max, tol)
 
 
+def _classify_locked(modes: int, phases, tol: float) -> list[Classification]:
+    """Locked ladder at zero detection; both families share beta = |dirichlet|/sqrt(M)."""
+    _check_tol(tol)
+    beta_max = math.sqrt(modes)
+    betas = (abs(dirichlet(modes, phases)) / beta_max).tolist()
+    return [Classification(b, _label_for(b, beta_max, tol), beta_max, tol) for b in betas]
+
+
 def scan_phase(
     modes: int,
     family: str,
@@ -104,24 +113,15 @@ def scan_phase(
 ) -> list[tuple[float, Classification]]:
     """Classify the locked phase ladder across one period of the phase step.
 
-    On a grid containing the exact multiples of 2*pi/M this yields exactly
-    M - 1 dark points and one bright point per period.
+    The grid, a multiple of M of at least 2*M points, holds every multiple of
+    2*pi/M: exactly M - 1 dark points and one bright point per period.
     """
     if family not in ("single_photon", "coherent"):
         raise ValueError(f"family must be 'single_photon' or 'coherent', got {family!r}")
-    if grid_points < 2 * modes:
+    if modes < 2 or grid_points < 2 * modes or grid_points % modes:
         raise ValueError(
-            f"grid_points={grid_points} cannot resolve all dark phases; "
-            f"need at least {2 * modes}"
+            f"grid_points={grid_points} cannot resolve all dark phases of {modes} modes; "
+            "need at least 2 modes and a multiple of the mode count >= 2*modes"
         )
-    zero_det = ModePhases.zero(modes)
-    out = []
-    for k in range(grid_points):
-        phi = 2.0 * math.pi * k / grid_points
-        ladder = ModePhases.locked(modes, phi)
-        if family == "single_photon":
-            result = classify_fock(single_photon_state(ladder), zero_det, tol)
-        else:
-            result = classify_coherent(CoherentSpec(1.0 + 0.0j, ladder), zero_det, tol)
-        out.append((phi, result))
-    return out
+    phis = [2.0 * math.pi * k / grid_points for k in range(grid_points)]
+    return list(zip(phis, _classify_locked(modes, phis, tol)))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard as _sylvester_hadamard
 
 from .errors import DimensionMismatchError, SectorError, UnsupportedBasisError
 from .fock import ModePhases, StateVector
@@ -44,7 +43,9 @@ def build_basis(modes: int, kind: str) -> CollectiveBasis:
                 f"hadamard basis needs a power-of-two mode count, got {modes}; "
                 "the dft basis covers every mode count"
             )
-        m = _sylvester_hadamard(modes).astype(complex) / np.sqrt(modes)
+        m = np.ones((1, 1), dtype=complex) / np.sqrt(modes)
+        while len(m) < modes:
+            m = np.kron([[1, 1], [1, -1]], m)
     else:
         j, k = np.meshgrid(np.arange(modes), np.arange(modes), indexing="ij")
         m = np.exp(2j * np.pi * j * k / modes) / np.sqrt(modes)

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classify import DEFAULT_TOL, Label, classify_coherent
+from .classify import DEFAULT_TOL, Label, _classify_locked
 from .errors import ResourceLimitError
-from .fock import ModePhases
-from .states import CoherentSpec
 
 ENUMERATION_MAX_MODES = 24
 
@@ -59,24 +57,19 @@ def locked_dark_phases(
 ) -> list[float]:
     """Phase steps 2*pi*K/M, K = 1..M-1, that make the locked ladder dark.
 
-    With ``verify`` set, each phase is classified through the coherent-state
-    route (cost O(M) per phase) and the K = 0 endpoint is confirmed bright.
+    With ``verify`` set, every phase and the K = 0 endpoint are classified
+    in one vectorised Dirichlet-kernel call; the endpoint must be bright.
     """
     if modes < 2:
         raise ValueError(f"need at least 2 modes, got {modes}")
     phases = [2.0 * math.pi * k / modes for k in range(1, modes)]
     if verify:
-        zero_det = ModePhases.zero(modes)
-        for phi in phases:
-            spec = CoherentSpec(1.0 + 0.0j, ModePhases.locked(modes, phi))
-            got = classify_coherent(spec, zero_det, tol).label
-            if got is not Label.DARK:
-                raise AssertionError(f"phase {phi} classified {got.value}, not Dark")
-        bright = classify_coherent(
-            CoherentSpec(1.0 + 0.0j, ModePhases.locked(modes, 0.0)), zero_det, tol
-        ).label
-        if bright is not Label.BRIGHT:
-            raise AssertionError(f"zero phase classified {bright.value}, not Bright")
+        bright, *darks = _classify_locked(modes, [0.0] + phases, tol)
+        for phi, got in zip(phases, darks):
+            if got.label is not Label.DARK:
+                raise AssertionError(f"phase {phi} classified {got.label.value}, not Dark")
+        if bright.label is not Label.BRIGHT:
+            raise AssertionError(f"zero phase classified {bright.label.value}, not Bright")
     return phases
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -54,20 +53,24 @@ class LaserField:
         return 2.0 * math.pi / self.delta_omega
 
 
-def amplitude_closed(field_: LaserField, t):
-    """Closed-form envelope; removable singularities return the peak E0*m_total.
+def dirichlet(modes: int, phase):
+    """Dirichlet kernel sin(modes*phase/2) / sin(phase/2), the field of locked modes.
 
-    ``m_total`` is odd, so every period start has the same positive limit.
+    The phase is reduced to [-pi, pi) before halving, so the only removable
+    singularity is at 0, where the limit is ``modes``.  For odd ``modes`` the
+    result is 2*pi-periodic; for even ``modes`` only its magnitude is.
     """
-    x = 0.5 * (field_.delta_omega * np.asarray(t, dtype=float) + field_.phi)
-    den = np.sin(x)
-    num = np.sin(field_.m_total * x)
-    singular = np.abs(den) < SINGULARITY_EPS
-    safe_den = np.where(singular, 1.0, den)
-    out = np.where(singular, field_.e0 * field_.m_total, field_.e0 * num / safe_den)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    x = np.remainder(np.asarray(phase, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
+    den = np.sin(0.5 * x)
+    out = np.full(x.shape, float(modes))
+    np.divide(np.sin(0.5 * modes * x), den, out=out, where=np.abs(den) >= SINGULARITY_EPS)
+    return float(out) if np.ndim(phase) == 0 else out
+
+
+def amplitude_closed(field_: LaserField, t):
+    """Closed-form envelope; m_total is odd, so each period peaks at E0*m_total."""
+    phase = field_.delta_omega * np.asarray(t, dtype=float) + field_.phi
+    return field_.e0 * dirichlet(field_.m_total, phase)
 
 
 def amplitude_direct(field_: LaserField, t):
@@ -132,17 +135,20 @@ def unlocked_intensity(
     field_: LaserField, seed: int, samples_per_period: int, periods: int = 100
 ) -> IntensitySeries:
     """Intensity with the phase lock broken: per-mode phases drawn once from a
-    seeded generator, then evaluated deterministically over the grid."""
+    seeded generator, then evaluated deterministically over the grid.  Mode m
+    adds exp(2*pi*i*m*k/S) at sample k, which depends only on m mod S, so the
+    modes fold into S bins and one inverse FFT gives every period exactly."""
     t = _time_grid(field_, samples_per_period, periods)
     rng = np.random.default_rng(seed)
     mode_phases = rng.uniform(0.0, 2.0 * math.pi, field_.m_total)
+    bins = np.zeros(samples_per_period, dtype=complex)
     m = np.arange(-field_.n_side, field_.n_side + 1)
-    phase = np.multiply.outer(t * field_.delta_omega, m) + mode_phases
-    amp = field_.e0 * np.exp(1j * phase).sum(axis=-1)
+    np.add.at(bins, m % samples_per_period, np.exp(1j * mode_phases))
+    amp = field_.e0 * samples_per_period * np.fft.ifft(bins)
     meta = _series_metadata(field_, samples_per_period, periods)
     meta["kind"] = "unlocked"
     meta["seed"] = seed
-    return IntensitySeries(t, np.abs(amp) ** 2, meta)
+    return IntensitySeries(t, np.tile(np.abs(amp) ** 2, periods), meta)
 
 
 @dataclass(frozen=True)
@@ -210,12 +216,3 @@ def series_to_csv(series: IntensitySeries) -> str:
     for t, i in zip(series.t, series.intensity):
         writer.writerow([f"{t:.12g}", f"{i:.12g}"])
     return buf.getvalue()
-
-
-def series_to_json(series: IntensitySeries) -> str:
-    payload = {
-        "metadata": series.metadata,
-        "t_prime": [float(f"{t:.12g}") for t in series.t],
-        "intensity": [float(f"{i:.12g}") for i in series.intensity],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)

@@ -13,8 +13,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import CutoffError, DegenerateInputError
+from .errors import CutoffError, DegenerateInputError, ResourceLimitError
 from .fock import ModePhases, StateVector
+
+COHERENT_MAX_TERMS = 1_000_000  # Fock terms; also caps the photon cutoff search
 
 
 @dataclass(frozen=True)
@@ -59,20 +61,20 @@ class CoherentSpec:
 
 
 def _poisson_cutoff(mean: float, tail: float) -> int:
+    """Smallest N with Poisson tail P(X > N) < tail, summed in log space smallest
+    term first from where the Bernstein bound leaves about 1e-20 of ``tail``."""
     if mean == 0.0:
         return 0
-    term = math.exp(-mean)
-    cdf = term
-    n = 0
-    while 1.0 - cdf >= tail:
-        n += 1
-        term *= mean / n
-        cdf += term
-        if n > 10_000:
-            raise CutoffError(
-                f"tail bound {tail} unreachable for mean {mean}", required_cutoff=n
-            )
-    return n
+    margin = 46.0 - math.log(tail)
+    start = mean + margin / 3.0 + math.sqrt(margin**2 / 9.0 + 2.0 * margin * mean)
+    if not start <= COHERENT_MAX_TERMS:
+        raise ResourceLimitError(f"mean {mean} photons: cutoff beyond {COHERENT_MAX_TERMS}")
+    upper = 0.0
+    for n in range(math.ceil(start), 0, -1):
+        upper += math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+        if upper >= tail:
+            return n
+    return 0
 
 
 def single_photon_state(phases: ModePhases) -> StateVector:
@@ -109,6 +111,10 @@ def coherent_state(spec: CoherentSpec) -> StateVector:
     """
     modes = spec.phases.modes
     n_max = spec.resolved_cutoff()
+    if math.comb(n_max + modes, modes) > COHERENT_MAX_TERMS:
+        raise ResourceLimitError(
+            f"{modes} modes up to {n_max} photons exceed {COHERENT_MAX_TERMS} Fock terms"
+        )
     alpha = complex(spec.alpha)
     mode_amp = [alpha * cmath.exp(1j * t) for t in spec.phases.theta]
     prefactor = math.exp(-modes * abs(alpha) ** 2 / 2.0)

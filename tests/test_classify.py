@@ -68,6 +68,13 @@ def test_families_agree_on_dense_grid(m):
         coherent = locked_coherent(m, phi)
         assert fock.label is coherent.label
         assert fock.beta == pytest.approx(coherent.beta, abs=1e-10)
+    grid = 256 - 256 % m  # scan_phase needs a multiple of M
+    for family in ("single_photon", "coherent"):
+        for k, (phi, scanned) in enumerate(scan_phase(m, family, grid)):
+            assert phi == 2 * math.pi * k / grid
+            fock = locked_fock(m, phi)
+            assert scanned.label is fock.label
+            assert scanned.beta == pytest.approx(fock.beta, abs=1e-10)
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
@@ -160,9 +167,10 @@ def test_scan_m4_dark_set():
     assert darks == pytest.approx(expected, abs=1e-12)
 
 
-def test_scan_grid_too_coarse_rejected():
-    with pytest.raises(ValueError):
-        scan_phase(4, "coherent", 7)
+@pytest.mark.parametrize("m,grid", [(4, 7), (4, 10)])
+def test_scan_grid_too_coarse_rejected(m, grid):
+    with pytest.raises(ValueError, match="cannot resolve all dark phases"):
+        scan_phase(m, "coherent", grid)
 
 
 def test_scan_unknown_family_rejected():

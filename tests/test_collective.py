@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from brightdark.collective import build_basis, from_collective, to_collective
 from brightdark.errors import SectorError, UnsupportedBasisError
@@ -52,6 +53,8 @@ def test_unitarity(kind, sizes):
         mat = build_basis(m, kind).matrix
         np.testing.assert_allclose(mat @ mat.conj().T, np.eye(m), atol=1e-12)
         assert np.allclose(mat[0], 1 / math.sqrt(m))
+        if kind == "hadamard":
+            assert np.array_equal(mat, hadamard(m) / np.sqrt(m))
 
 
 def test_parseval_norm_preserved():

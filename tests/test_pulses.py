@@ -1,6 +1,5 @@
 """Pulse-train envelope: closed form vs direct sum, metrics, unlocked phases."""
 
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from brightdark.pulses import (
     intensity_series,
     pulse_metrics,
     series_to_csv,
-    series_to_json,
     unlocked_intensity,
 )
 
@@ -55,6 +53,16 @@ def test_closed_form_matches_direct_sum(n_side):
     scale = field.e0 * field.m_total
     assert np.max(np.abs(closed - direct.real)) <= 1e-10 * scale
     assert np.max(np.abs(direct.imag)) <= 1e-10 * scale
+
+
+def test_late_window_keeps_the_first_period_shape():
+    # Far from t = 0 the unreduced kernel misses its removable singularities.
+    field = LaserField(n_side=50)
+    tau = np.arange(1024) * (field.period / 1024)
+    peak = field.e0 * field.m_total
+    late = amplitude_closed(field, 1e6 * field.period + tau)
+    assert np.max(np.abs(late)) <= peak
+    assert np.max(np.abs(late - amplitude_closed(field, tau))) <= 1e-6 * peak
 
 
 def test_rejects_single_mode():
@@ -141,6 +149,19 @@ def test_unlocked_is_deterministic_per_seed():
     assert not np.array_equal(a.intensity, c.intensity)
 
 
+@pytest.mark.parametrize("n_side,samples", [(10, 128), (10, 7), (3, 64)])
+def test_unlocked_matches_direct_mode_sum(n_side, samples):
+    # samples < m_total folds several modes into one FFT bin.
+    field = LaserField(n_side=n_side, e0=1.3, delta_omega=0.7, phi=0.2)
+    series = unlocked_intensity(field, seed=5, samples_per_period=samples, periods=3)
+    mode_phases = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, field.m_total)
+    m = np.arange(-n_side, n_side + 1)
+    phase = np.multiply.outer(series.t * field.delta_omega, m) + mode_phases
+    direct = np.abs(field.e0 * np.exp(1j * phase).sum(axis=-1)) ** 2
+    peak = (field.e0 * field.m_total) ** 2
+    assert np.max(np.abs(series.intensity - direct)) <= 1e-9 * peak
+
+
 def test_unlocked_mean_matches_incoherent_sum():
     field = LaserField(n_side=10, e0=1.2)
     series = unlocked_intensity(field, seed=1, samples_per_period=128, periods=100)
@@ -169,12 +190,3 @@ def test_csv_export_headers_and_rows():
     first = lines[header_idx + 1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(25.0)
-
-
-def test_json_export_round_trips():
-    field = LaserField(n_side=2)
-    series = intensity_series(field, samples_per_period=8)
-    payload = json.loads(series_to_json(series))
-    assert payload["metadata"]["m_total"] == 5
-    assert len(payload["intensity"]) == 8
-    assert payload["intensity"][0] == pytest.approx(25.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from brightdark.errors import CutoffError, DegenerateInputError
+from brightdark.errors import CutoffError, DegenerateInputError, ResourceLimitError
 from brightdark.fock import ModePhases, apply_field, inner_product, tensor
 from brightdark.states import (
     CoherentSpec,
@@ -109,6 +109,17 @@ def test_coherent_explicit_cutoff_too_tight():
     with pytest.raises(CutoffError) as err:
         coherent_state(spec)
     assert err.value.required_cutoff > 3
+
+
+def test_cutoff_for_large_mean_photon_number():
+    # Mean 7200: exp(-mean) underflows, so the tail must be summed in log space.
+    assert CoherentSpec(30, ModePhases.zero(8)).required_cutoff() == 7805
+
+
+def test_coherent_build_past_term_bound_is_refused():
+    # Cutoff 35 over 8 modes would expand into C(43, 8) ~ 1.45e8 terms.
+    with pytest.raises(ResourceLimitError):
+        coherent_state(CoherentSpec(1.0, ModePhases.zero(8)))
 
 
 def test_coherent_pairwise_factorization_at_pi():
