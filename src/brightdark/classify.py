@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DegenerateInputError, DimensionMismatchError
-from .fock import ModePhases, StateVector, apply_field
+from .fock import PRUNE_THRESHOLD, ModePhases, StateVector, _lower
 from .pulses import dirichlet
 from .states import CoherentSpec
 
@@ -65,7 +67,9 @@ def classify_fock(
         raise DegenerateInputError(
             "vacuum state couples to nothing; trivially dark", vacuum=True
         )
-    beta = apply_field(state, detection_phases).norm() / norm
+    lowered = _lower(state, detection_phases)[0]
+    lowered = lowered[np.abs(lowered) >= PRUNE_THRESHOLD]  # as apply_field prunes
+    beta = math.sqrt(np.vdot(lowered, lowered).real) / norm
     beta_max = math.sqrt(state.modes * top)
     return Classification(beta, _label_for(beta, beta_max, tol), beta_max, tol)
 

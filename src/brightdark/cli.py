@@ -5,6 +5,8 @@ Every command prints a JSON document ``{"command", "params", "results"}``
 significant digits so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 validation error, 3 resource limit, 4 internal error.
+A reader that closes standard output early (``brightdark ... | head``) is not
+an error: the command stops writing and exits 0.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .cavity import CavityDesign, ratio_report
-from .classify import classify_coherent, classify_fock, scan_phase
+from .classify import _classify_locked, scan_phase
 from .counting import dark_census, locked_dark_phases
-from .errors import ResourceLimitError
-from .fock import ModePhases
+from .errors import DegenerateInputError, ResourceLimitError
 from .pulses import (
     LaserField,
     intensity_series,
@@ -31,7 +32,6 @@ from .pulses import (
     series_to_csv,
     unlocked_intensity,
 )
-from .states import CoherentSpec, single_photon_state
 
 OUTPUT_DIR_ENV = "BRIGHTDARK_OUTPUT_DIR"
 
@@ -150,12 +150,21 @@ def cmd_pulse_train(args, parser) -> int:
 
 def cmd_classify(args, parser) -> int:
     phase = _parse_phase(args, parser)
-    ladder = ModePhases.locked(args.m, phase)
-    detection = ModePhases.zero(args.m)
-    if args.family == "single-photon":
-        result = classify_fock(single_photon_state(ladder), detection, args.tol)
-    else:
-        result = classify_coherent(CoherentSpec(args.alpha, ladder), detection, args.tol)
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
+    if args.m < 1:
+        raise ValueError(f"need at least one mode, got {args.m}")
+    if args.family == "single-photon" and args.m < 2:
+        raise DegenerateInputError(
+            f"single-photon interference needs at least 2 modes, got {args.m}"
+        )
+    if args.family == "coherent":
+        if not (math.isfinite(args.alpha.real) and math.isfinite(args.alpha.imag)):
+            raise ValueError(f"alpha must be finite, got {args.alpha}")
+        if args.alpha == 0:
+            raise DegenerateInputError("alpha = 0 is the vacuum; trivially dark", vacuum=True)
+    # The locked ladder at zero detection phases: both families share the kernel.
+    (result,) = _classify_locked(args.m, [phase], args.tol)
     params = {
         "m": args.m,
         "family": args.family,
@@ -291,7 +300,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

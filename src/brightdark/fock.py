@@ -1,9 +1,15 @@
 """Sparse truncated Fock space for M bosonic modes.
 
 States are stored as a map from occupation tuples ``(n_0, ..., n_{M-1})``
-to complex amplitudes; only nonzero terms are kept.  The detection-point
-field operator is ``E = sum_m exp(i*theta_m) a_m`` with ``a_m`` the
-annihilation operator of mode ``m``.
+to complex amplitudes, and alongside it as an occupation matrix and an
+amplitude vector; only nonzero terms are kept.  The detection-point field
+operator is ``E = sum_m exp(i*theta_m) a_m`` with ``a_m`` the annihilation
+operator of mode ``m``; it runs on the arrays, indexing occupations by
+their rank in the combinatorial number system.  Ranks are exact in int64
+while ``C(top + M, M) < 2**63`` (``top`` the highest occupied sector), and
+the rank table has ``(M + 1) * (top + 1)`` cells; past either bound
+(``RANK_LIMIT``, ``RANK_TABLE_MAX``) the field operator raises
+ResourceLimitError before allocating.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatchError
+import numpy as np
+
+from .errors import DimensionMismatchError, ResourceLimitError
 
 # Amplitudes below this magnitude are dropped after every operation so that
 # exact zeros stay exact in sparse comparisons.
@@ -60,7 +68,9 @@ class ModePhases:
 class StateVector:
     """Pure state of ``modes`` bosonic modes, truncated at ``cutoff`` total photons.
 
-    ``terms`` maps occupation tuples to amplitudes.  Instances are treated as
+    ``terms`` maps occupation tuples to amplitudes.  The same terms are kept
+    privately as a ``(T, modes)`` occupation matrix and a length-T amplitude
+    vector, which the numeric operations read.  Instances are treated as
     immutable values: every operation returns a new StateVector.
     """
 
@@ -71,46 +81,77 @@ class StateVector:
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"need at least one mode, got {self.modes}")
+        keys = list(self.terms)
+        wrong = next((occ for occ in keys if len(occ) != self.modes), None)
+        if wrong is not None:
+            raise _length_error(wrong, self.modes)
+        occ = np.array(keys, dtype=np.int64).reshape(len(keys), self.modes)
+        self._store(occ, np.array(list(self.terms.values()), dtype=complex))
+
+    @classmethod
+    def _from_arrays(
+        cls, modes: int, occ: np.ndarray, amp: np.ndarray, cutoff: int
+    ) -> "StateVector":
+        """Build from an occupation matrix and amplitude vector, with the same checks."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "modes", modes)
+        object.__setattr__(state, "cutoff", cutoff)
+        state._store(occ, amp)
+        return state
+
+    def _store(self, occ: np.ndarray, amp: np.ndarray) -> None:
+        """Validate the term arrays in one pass, prune tiny amplitudes, keep both forms."""
+        if self.modes < 1:
+            raise ValueError(f"need at least one mode, got {self.modes}")
         if self.cutoff < 0:
             raise ValueError(f"cutoff must be non-negative, got {self.cutoff}")
-        clean: dict[tuple[int, ...], complex] = {}
-        for occ, amp in self.terms.items():
-            occ = tuple(int(n) for n in occ)
-            if len(occ) != self.modes:
-                raise DimensionMismatchError(
-                    f"occupation {occ} has {len(occ)} entries for {self.modes} modes"
-                )
-            if any(n < 0 for n in occ):
-                raise ValueError(f"negative occupation in {occ}")
-            if sum(occ) > self.cutoff:
-                raise ValueError(
-                    f"occupation {occ} exceeds photon cutoff {self.cutoff}"
-                )
-            a = complex(amp)
-            if abs(a) >= PRUNE_THRESHOLD:
-                clean[occ] = a
-        object.__setattr__(self, "terms", clean)
+        if occ.shape[1:] != (self.modes,):
+            raise _length_error(occ[0], self.modes)
+        totals = occ.sum(axis=1)
+        top = int(totals.max(initial=0))
+        if top > self.cutoff or occ.min(initial=0) < 0:
+            negative = (occ < 0).any(axis=1)
+            row = int((negative | (totals > self.cutoff)).argmax())
+            occ_t = tuple(occ[row].tolist())
+            if negative[row]:
+                raise ValueError(f"negative occupation in {occ_t}")
+            raise ValueError(f"occupation {occ_t} exceeds photon cutoff {self.cutoff}")
+        keep = np.abs(amp) >= PRUNE_THRESHOLD
+        if not keep.all():
+            occ, amp = occ[keep], amp[keep]
+            top = int(totals[keep].max(initial=0))
+        object.__setattr__(self, "_occ", occ)
+        object.__setattr__(self, "_amp", amp)
+        object.__setattr__(self, "_top", top)
+        # Zipping the column lists makes the key tuples without a list per term.
+        keys = zip(*occ.T.tolist())
+        object.__setattr__(self, "terms", dict(zip(keys, amp.tolist())))
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
+        return math.sqrt(np.vdot(self._amp, self._amp).real)
 
     def normalized(self) -> "StateVector":
         n = self.norm()
         if n == 0.0:
             raise ZeroDivisionError("cannot normalize the zero vector")
-        return StateVector(
-            self.modes, {occ: a / n for occ, a in self.terms.items()}, self.cutoff
-        )
+        return StateVector._from_arrays(self.modes, self._occ, self._amp / n, self.cutoff)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def top_sector(self) -> int:
         """Largest total photon number carried by any stored term (0 if empty)."""
-        return max((sum(occ) for occ in self.terms), default=0)
+        return self._top
 
     def amplitude(self, occ: tuple[int, ...]) -> complex:
         return self.terms.get(tuple(occ), 0.0 + 0.0j)
+
+
+def _length_error(occ, modes: int) -> DimensionMismatchError:
+    occ = tuple(int(n) for n in occ)
+    return DimensionMismatchError(
+        f"occupation {occ} has {len(occ)} entries for {modes} modes"
+    )
 
 
 def vacuum(modes: int, cutoff: int = 0) -> StateVector:
@@ -148,21 +189,107 @@ def create(state: StateVector, mode: int) -> StateVector:
     return StateVector(state.modes, out, state.cutoff)
 
 
-def apply_field(state: StateVector, phases: ModePhases) -> StateVector:
-    """Detection-point field operator: sum_m exp(i*theta_m) a_m, linear in the state."""
+# Bounds of the field operator's rank index: the rank range C(top + M, M)
+# and the rank table's (M + 1) * (top + 1) cells.
+RANK_LIMIT = 2**63
+RANK_TABLE_MAX = 10_000_000
+
+
+def _multichoose(modes: int, top: int) -> np.ndarray:
+    """Table ``P[j, s] = C(s + j - 1, j)`` for j = 0..modes, s = 0..top.
+
+    By Pascal's rule each row past s = 0 is the cumulative sum of the row
+    above, and each column the cumulative sum of the column before; the
+    table is filled along its shorter side.
+    """
+    table = np.zeros((modes + 1, top + 1), dtype=np.int64)
+    if modes <= top:
+        table[0] = 1
+        for j in range(1, modes + 1):
+            np.cumsum(table[j - 1, 1:], out=table[j, 1:])
+    else:
+        table[0, 0] = 1
+        for s in range(1, top + 1):
+            np.cumsum(table[:, s - 1], out=table[:, s])
+    return table
+
+
+def _lowered_ranks(occ: np.ndarray, top: int) -> np.ndarray:
+    """Rank of every term with mode m lowered by one, as a ``(T, M)`` matrix.
+
+    Occupations are indexed by their rank in the combinatorial number system:
+    with ``s_k`` the photons in the last k+1 modes, ``rank = sum_k C(s_k + k, k+1)``.
+    Lowering mode m lowers every ``s_k`` with ``k >= M-1-m`` by one, so by
+    Pascal's rule it subtracts ``sum_{k >= M-1-m} C(s_k + k - 1, k)``: one gather
+    and one cumulative sum give every lowered rank.  Entries where mode m is
+    empty are meaningless.
+    """
+    modes = occ.shape[1]
+    table = _multichoose(modes, top)
+    # suffix[:, m] is the photon count of modes m..M-1, i.e. s_k for k = M-1-m.
+    suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    k = np.arange(modes - 1, -1, -1)
+    rank = table[k + 1, suffix].sum(axis=1)
+    drop = np.cumsum(table[k, suffix], axis=1)
+    return np.subtract(rank[:, None], drop, out=drop)
+
+
+def _lower(state: StateVector, phases: ModePhases):
+    """Apply E = sum_m exp(i*theta_m) a_m to the stored arrays.
+
+    Returns the summed amplitude of each output slot and the ``(T, M)`` slot
+    matrix: entry (t, m) is where lowering mode m of term t lands, or
+    ``len(amplitudes)`` where mode m of term t is empty.  Entries are summed
+    in term-major, mode-minor order, as a loop over the terms would.
+    """
     if phases.modes != state.modes:
         raise DimensionMismatchError(
             f"{phases.modes} phases for a {state.modes}-mode state"
         )
-    factors = [complex(math.cos(t), math.sin(t)) for t in phases.theta]
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.terms.items():
-        for mode, n in enumerate(occ):
-            if n == 0:
-                continue
-            lowered = occ[:mode] + (n - 1,) + occ[mode + 1 :]
-            out[lowered] = out.get(lowered, 0.0) + factors[mode] * math.sqrt(n) * amp
-    return StateVector(state.modes, out, state.cutoff)
+    modes, occ = state.modes, state._occ
+    top = state.top_sector()
+    # The cheap table bound first: it keeps math.comb small.
+    if (modes + 1) * (top + 1) > RANK_TABLE_MAX or math.comb(top + modes, modes) >= RANK_LIMIT:
+        raise ResourceLimitError(
+            f"{modes} modes up to {top} photons exceed the Fock rank index bounds"
+        )
+    slot = _lowered_ranks(occ, top)
+    occupied = occ > 0
+    entries = np.count_nonzero(occupied)
+    lo = slot.min(where=occupied, initial=RANK_LIMIT - 1)
+    hi = slot.max(where=occupied, initial=0)
+    if entries and hi - lo < entries:  # the ranks fill their range, as for coherent states
+        slot -= lo
+        count = int(hi - lo) + 1
+    else:
+        distinct, inverse = np.unique(slot[occupied], return_inverse=True)
+        slot[occupied] = inverse
+        count = distinct.size
+    slot[~occupied] = count
+    # exp(i*theta_m) * sqrt(n) for every mode m and photon number n.
+    root = np.exp(1j * np.asarray(phases.theta))[:, None] * np.sqrt(np.arange(top + 1))
+    weight = root[np.arange(modes), occ]
+    weight *= state._amp[:, None]
+    flat = slot.ravel()
+    amps = np.empty(count, dtype=complex)
+    amps.real = np.bincount(flat, weight.real.ravel(), count + 1)[:count]
+    amps.imag = np.bincount(flat, weight.imag.ravel(), count + 1)[:count]
+    return amps, slot
+
+
+def apply_field(state: StateVector, phases: ModePhases) -> StateVector:
+    """Detection-point field operator: sum_m exp(i*theta_m) a_m, linear in the state."""
+    amps, slot = _lower(state, phases)
+    # Every entry that lands on a slot names its occupation; -1 marks slots
+    # no entry reaches, and the last cell collects the empty modes.
+    source = np.full(amps.size + 1, -1)
+    source[slot.ravel()] = np.arange(slot.size)
+    del slot  # the (T, M) slots are not needed while the output is built
+    reached = source[:-1] >= 0
+    rows, cols = np.divmod(source[:-1][reached], state.modes)
+    occ = state._occ[rows]
+    occ[np.arange(rows.size), cols] -= 1
+    return StateVector._from_arrays(state.modes, occ, amps[reached], state.cutoff)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import ResolutionError, ResourceLimitError
 
 SINGULARITY_EPS = 1e-12
+SERIES_MAX_SAMPLES = 10_000_000  # samples per series, checked before allocating
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,11 @@ def _time_grid(field_: LaserField, samples_per_period: int, periods: int) -> np.
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     count = samples_per_period * periods
+    if count > SERIES_MAX_SAMPLES:
+        raise ResourceLimitError(
+            f"{samples_per_period} samples x {periods} periods exceed "
+            f"{SERIES_MAX_SAMPLES} samples"
+        )
     return np.arange(count) * (field_.period / samples_per_period)
 
 

@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CutoffError, DegenerateInputError, ResourceLimitError
 from .fock import ModePhases, StateVector
 
@@ -84,23 +86,21 @@ def single_photon_state(phases: ModePhases) -> StateVector:
         raise DegenerateInputError(
             f"single-photon interference needs at least 2 modes, got {m_modes}"
         )
-    root = math.sqrt(m_modes)
-    terms = {}
-    for m in range(m_modes):
-        occ = tuple(1 if k == m else 0 for k in range(m_modes))
-        terms[occ] = cmath.exp(-1j * phases.theta[m]) / root
-    return StateVector(m_modes, terms, cutoff=1)
+    amp = np.exp(-1j * np.asarray(phases.theta)) / math.sqrt(m_modes)
+    return StateVector._from_arrays(m_modes, np.eye(m_modes, dtype=np.int64), amp, 1)
 
 
-def _occupations(modes: int, total_max: int):
-    """All occupation tuples of given length with sum <= total_max."""
-    if modes == 1:
-        for n in range(total_max + 1):
-            yield (n,)
-        return
-    for n in range(total_max + 1):
-        for rest in _occupations(modes - 1, total_max - n):
-            yield (n,) + rest
+def _stars_and_bars(modes: int, total_max: int) -> np.ndarray:
+    """All occupations of ``modes`` modes with sum <= total_max, in lexicographic order."""
+    occ = np.zeros((1, modes), dtype=np.int64)
+    left = np.array([total_max])
+    for m in range(modes):
+        counts = left + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        occ = np.repeat(occ, counts, axis=0)
+        occ[:, m] = np.arange(starts.size) - starts
+        left = np.repeat(left, counts) - occ[:, m]
+    return occ
 
 
 def coherent_state(spec: CoherentSpec) -> StateVector:
@@ -115,25 +115,17 @@ def coherent_state(spec: CoherentSpec) -> StateVector:
         raise ResourceLimitError(
             f"{modes} modes up to {n_max} photons exceed {COHERENT_MAX_TERMS} Fock terms"
         )
-    alpha = complex(spec.alpha)
-    mode_amp = [alpha * cmath.exp(1j * t) for t in spec.phases.theta]
-    prefactor = math.exp(-modes * abs(alpha) ** 2 / 2.0)
+    mode_amp = complex(spec.alpha) * np.exp(1j * np.asarray(spec.phases.theta))
+    # Single-mode Fock coefficients alpha_m^n / sqrt(n!), one row per mode.
+    steps = np.ones((modes, n_max + 1), dtype=complex)
+    steps[:, 1:] = mode_amp[:, None] / np.sqrt(np.arange(1, n_max + 1))
+    per_mode = np.cumprod(steps, axis=1)
 
-    # Single-mode Fock coefficients alpha^n / sqrt(n!) per mode, reused below.
-    per_mode = []
-    for a in mode_amp:
-        coeffs = [1.0 + 0.0j]
-        for n in range(1, n_max + 1):
-            coeffs.append(coeffs[-1] * a / math.sqrt(n))
-        per_mode.append(coeffs)
-
-    terms = {}
-    for occ in _occupations(modes, n_max):
-        amp = prefactor
-        for m, n in enumerate(occ):
-            amp *= per_mode[m][n]
-        terms[occ] = amp
-    return StateVector(modes, terms, cutoff=n_max)
+    occ = _stars_and_bars(modes, n_max)
+    amp = per_mode[0, occ[:, 0]] * math.exp(-modes * abs(spec.alpha) ** 2 / 2.0)
+    for m in range(1, modes):
+        amp *= per_mode[m, occ[:, m]]
+    return StateVector._from_arrays(modes, occ, amp, n_max)
 
 
 def _two_mode_sum(n_photons: int, phi_tilde: float, signs: bool) -> StateVector:

@@ -2,10 +2,20 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from brightdark.classify import classify_fock
 from brightdark.cli import main
+from brightdark.fock import ModePhases
+from brightdark.pulses import SERIES_MAX_SAMPLES
+from brightdark.states import single_photon_state
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_json(capsys, argv):
@@ -98,6 +108,65 @@ def test_classify_requires_a_phase(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--m", "4"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("m, frac", [(4, "1/4"), (5, "2/5"), (7, "3/10"), (16, "5/16")])
+def test_classify_agrees_with_the_fock_route(capsys, m, frac):
+    code, doc = run_json(capsys, ["classify", "--m", str(m), "--phase-frac", frac])
+    assert code == 0
+    num, den = map(int, frac.split("/"))
+    state = single_photon_state(ModePhases.locked(m, 2 * math.pi * num / den))
+    oracle = classify_fock(state, ModePhases.zero(m), 1e-6)
+    assert doc["results"]["beta"] == pytest.approx(oracle.beta, rel=1e-11, abs=1e-12)
+    assert doc["results"]["label"] == oracle.label.value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--m", "1", "--phase", "0.5"],
+        ["classify", "--m", "0", "--phase", "0.5", "--family", "coherent"],
+        ["classify", "--m", "4", "--phase", "0.5", "--family", "coherent", "--alpha", "0"],
+        ["classify", "--m", "4", "--phase", "0.5", "--family", "coherent", "--alpha", "nan"],
+        ["classify", "--m", "4", "--phase", "inf"],
+        ["classify", "--m", "4", "--phase", "0.5", "--tol", "0.7"],
+    ],
+)
+def test_classify_rejects_invalid_input(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra", [[], ["--unlocked"]])
+def test_pulse_train_past_the_sample_bound_exits_3(capsys, extra):
+    periods = SERIES_MAX_SAMPLES // 1000 + 1
+    argv = ["pulse-train", "--n-side", "2", "--samples", "1000", "--periods", str(periods)]
+    assert main(argv + extra) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "samples" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Several MB of CSV: the write itself meets the closed pipe.
+        ["pulse-train", "--n-side", "2", "--samples", "200000"],
+        # A few hundred bytes: the pipe shows closed only when stdout is flushed.
+        ["classify", "--m", "4", "--phase", "0.3"],
+    ],
+)
+def test_closed_stdout_exits_cleanly(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "brightdark.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the command writes
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_count_dark_enumerated(capsys):

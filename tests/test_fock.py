@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from brightdark.errors import DimensionMismatchError
+from brightdark.classify import classify_fock
+from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from brightdark.fock import (
     ModePhases,
     StateVector,
@@ -120,6 +121,34 @@ def test_field_is_linear():
     fv = apply_field(v, phases)
     expected = a * fu.amplitude((0, 0)) + b * fv.amplitude((0, 0))
     assert lhs.amplitude((0, 0)) == pytest.approx(expected, abs=1e-12)
+
+
+def test_field_past_the_int64_index_bound_is_refused():
+    # C(40 + 64, 64) is about 1.7e29 ranks, past 2**63.
+    state = ket(64, (40,) + (0,) * 63)
+    with pytest.raises(ResourceLimitError):
+        apply_field(state, ModePhases.zero(64))
+    with pytest.raises(ResourceLimitError):
+        classify_fock(state, ModePhases.zero(64))
+
+
+def test_field_past_the_rank_table_bound_is_refused():
+    # 3 x (10**7 + 1) table cells; the ranks alone would fit in int64.
+    state = ket(2, (10**7, 0))
+    with pytest.raises(ResourceLimitError):
+        apply_field(state, ModePhases.zero(2))
+
+
+def test_field_on_empty_state_and_vacuum():
+    empty = StateVector(3, {}, cutoff=2)
+    assert apply_field(empty, ModePhases.zero(3)).is_zero()
+    assert apply_field(vacuum(3), ModePhases.zero(3)).is_zero()
+    with pytest.raises(DegenerateInputError, match="zero vector") as exc:
+        classify_fock(empty, ModePhases.zero(3))
+    assert not exc.value.vacuum
+    with pytest.raises(DegenerateInputError) as exc:
+        classify_fock(vacuum(3), ModePhases.zero(3))
+    assert exc.value.vacuum
 
 
 def test_inner_product_orthonormal_basis():

@@ -1,5 +1,6 @@
 """Property-based invariants over randomized states and phases."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brightdark.classify import classify_fock
 from brightdark.collective import build_basis, from_collective, to_collective
+from brightdark.errors import DegenerateInputError
 from brightdark.fock import (
+    PRUNE_THRESHOLD,
     ModePhases,
     StateVector,
     annihilate,
@@ -16,6 +20,7 @@ from brightdark.fock import (
     create,
     inner_product,
 )
+from brightdark.states import CoherentSpec, coherent_state, two_mode_dark
 
 finite_phases = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -109,3 +114,141 @@ def test_collective_round_trip_and_parseval(amps, ref_raw, kind):
     back = from_collective(coeffs, basis, ref)
     for occ in state.terms:
         assert back.amplitude(occ) == pytest.approx(state.amplitude(occ), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The array kernel against the per-term dict loops it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_apply_field(state, phases):
+    """E = sum_m exp(i*theta_m) a_m term by term, pruned as StateVector prunes."""
+    factors = [complex(math.cos(t), math.sin(t)) for t in phases.theta]
+    out = {}
+    for occ, amp in state.terms.items():
+        for mode, n in enumerate(occ):
+            if n == 0:
+                continue
+            lowered = occ[:mode] + (n - 1,) + occ[mode + 1 :]
+            out[lowered] = out.get(lowered, 0.0) + factors[mode] * math.sqrt(n) * amp
+    return {occ: a for occ, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
+
+
+def _oracle_norm(terms):
+    return math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+
+
+@st.composite
+def _occupations(draw, modes, cutoff):
+    left = draw(st.integers(min_value=0, max_value=cutoff))
+    occ = []
+    for _ in range(modes):
+        occ.append(draw(st.integers(min_value=0, max_value=left)))
+        left -= occ[-1]
+    return tuple(draw(st.permutations(occ)))
+
+
+tiny = st.floats(min_value=1e-16, max_value=1e-14)
+
+
+@st.composite
+def fock_states(draw):
+    modes = draw(st.integers(min_value=1, max_value=6))
+    cutoff = draw(st.integers(min_value=0, max_value=5))
+    terms = draw(
+        st.dictionaries(_occupations(modes, cutoff), st.one_of(amplitudes, tiny), max_size=12)
+    )
+    thetas = draw(st.lists(finite_phases, min_size=modes, max_size=modes))
+    return StateVector(modes, terms, cutoff), ModePhases(modes, tuple(thetas))
+
+
+@settings(max_examples=100)
+@given(fock_states())
+def test_field_kernel_matches_dict_oracle(case):
+    state, phases = case
+    got = apply_field(state, phases).terms
+    want = _oracle_apply_field(state, phases)
+    for occ in set(got) | set(want):
+        assert got.get(occ, 0.0) == pytest.approx(want.get(occ, 0.0), abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(fock_states())
+def test_classify_fock_beta_matches_dict_oracle(case):
+    state, phases = case
+    if state.is_zero() or state.top_sector() == 0:
+        with pytest.raises(DegenerateInputError):
+            classify_fock(state, phases)
+        return
+    beta = _oracle_norm(_oracle_apply_field(state, phases)) / _oracle_norm(state.terms)
+    assert classify_fock(state, phases).beta == pytest.approx(beta, rel=1e-12, abs=1e-15)
+
+
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-3e-15, max_value=3e-15),
+)
+def test_pruning_at_threshold_matches_dict_oracle(modes, x, residual):
+    # Two photons whose lowered amplitudes cancel up to about `residual`.
+    one = [tuple(int(k == m) for k in range(modes)) for m in range(2)]
+    state = StateVector(modes, {one[0]: x, one[1]: residual - x}, cutoff=1)
+    phases = ModePhases.zero(modes)
+    want = _oracle_apply_field(state, phases)
+    assert apply_field(state, phases).terms == want
+    if not state.is_zero():
+        beta = _oracle_norm(want) / _oracle_norm(state.terms)
+        assert classify_fock(state, phases).beta == pytest.approx(beta, rel=1e-12)
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+)
+def test_dark_ladder_cancellation_survives_summation(n, phi):
+    # numpy's complex product may round differently from Python's (fused
+    # multiply-add), so past N = 2, where the residual nears the prune
+    # threshold, only its size is compared with the oracle's.
+    state, detection = two_mode_dark(n, phi), ModePhases(2, (0.0, phi))
+    out = apply_field(state, detection)
+    assert out.norm() <= 1e-13
+    assert _oracle_norm(_oracle_apply_field(state, detection)) <= 1e-13
+    if n <= 2:  # rounding stays a few times below the prune threshold
+        assert out.is_zero()
+
+
+def _oracle_coherent_terms(spec):
+    """Every occupation up to the cutoff, amplitude multiplied out mode by mode."""
+    modes, n_max = spec.phases.modes, spec.resolved_cutoff()
+    mode_amp = [spec.alpha * cmath.exp(1j * t) for t in spec.phases.theta]
+
+    def occupations(m, left):
+        if m == 0:
+            yield ()
+            return
+        for n in range(left + 1):
+            for rest in occupations(m - 1, left - n):
+                yield (n,) + rest
+
+    terms = {}
+    for occ in occupations(modes, n_max):
+        amp = complex(math.exp(-modes * abs(spec.alpha) ** 2 / 2.0))
+        for a, n in zip(mode_amp, occ):
+            amp *= a**n / math.sqrt(math.factorial(n))
+        terms[occ] = amp
+    return terms
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.complex_numbers(min_magnitude=0.05, max_magnitude=0.6),
+    st.data(),
+)
+def test_coherent_state_matches_per_term_product(modes, alpha, data):
+    thetas = data.draw(st.lists(finite_phases, min_size=modes, max_size=modes))
+    spec = CoherentSpec(alpha, ModePhases(modes, tuple(thetas)))
+    got = coherent_state(spec).terms
+    want = {occ: a for occ, a in _oracle_coherent_terms(spec).items() if abs(a) >= PRUNE_THRESHOLD}
+    assert got.keys() == want.keys()
+    for occ, a in want.items():
+        assert got[occ] == pytest.approx(a, rel=1e-12, abs=1e-15)
