@@ -15,12 +15,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionMismatchError
+from .errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from .fock import PRUNE_THRESHOLD, ModePhases, StateVector, _lower
 from .pulses import dirichlet
 from .states import CoherentSpec
 
 DEFAULT_TOL = 1e-10
+SCAN_MAX_POINTS = 100_000  # grid points per scan_phase call, checked before building
 
 
 class Label(str, Enum):
@@ -126,6 +127,10 @@ def scan_phase(
         raise ValueError(
             f"grid_points={grid_points} cannot resolve all dark phases of {modes} modes; "
             "need at least 2 modes and a multiple of the mode count >= 2*modes"
+        )
+    if grid_points > SCAN_MAX_POINTS:
+        raise ResourceLimitError(
+            f"grid_points={grid_points} exceeds {SCAN_MAX_POINTS} scan points"
         )
     phis = [2.0 * math.pi * k / grid_points for k in range(grid_points)]
     return list(zip(phis, _classify_locked(modes, phis, tol)))

@@ -27,6 +27,7 @@ from .counting import dark_census, locked_dark_phases
 from .errors import DegenerateInputError, ResourceLimitError
 from .pulses import (
     LaserField,
+    _format_rows,
     intensity_series,
     pulse_metrics,
     series_to_csv,
@@ -55,6 +56,8 @@ def _round_sig(value):
         return float(f"{float(value):.12g}")
     if isinstance(value, dict):
         return {k: _round_sig(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 1:
+        return [float(s) for chunk in _format_rows(value) for s in chunk.split()]
     if isinstance(value, (list, tuple, np.ndarray)):
         return [_round_sig(v) for v in value]
     return value
@@ -141,8 +144,8 @@ def cmd_pulse_train(args, parser) -> int:
         results = {
             "metadata": series.metadata,
             "metrics": metrics,
-            "t_prime": list(series.t),
-            "intensity": list(series.intensity),
+            "t_prime": series.t,
+            "intensity": series.intensity,
         }
         _emit_json("pulse-train", params, results, args.output)
     return EXIT_OK

@@ -12,9 +12,9 @@ phases) keeps the mean intensity but destroys the peaks.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import ResolutionError, ResourceLimitError
 
 SINGULARITY_EPS = 1e-12
 SERIES_MAX_SAMPLES = 10_000_000  # samples per series, checked before allocating
+FORMAT_CHUNK = 4096  # rows formatted per pass; bounds the Python floats alive at once
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,11 @@ def amplitude_closed(field_: LaserField, t):
 def amplitude_direct(field_: LaserField, t):
     """Direct mode sum sum_m E0*exp(i*m*(delta_omega*t + phi)); oracle for the closed form."""
     t_arr = np.asarray(t, dtype=float)
+    if t_arr.size * field_.m_total > SERIES_MAX_SAMPLES:
+        raise ResourceLimitError(
+            f"{t_arr.size} samples x {field_.m_total} modes exceed "
+            f"{SERIES_MAX_SAMPLES} mode samples"
+        )
     m = np.arange(-field_.n_side, field_.n_side + 1)
     phase = np.multiply.outer(t_arr * field_.delta_omega + field_.phi, m)
     out = field_.e0 * np.exp(1j * phase).sum(axis=-1)
@@ -199,6 +205,16 @@ def pulse_metrics(series: IntensitySeries) -> PulseMetrics:
     return PulseMetrics(fwhm=fwhm, period=period, duty_ratio=fwhm / period, peak=peak)
 
 
+def _format_rows(*columns) -> Iterator[str]:
+    """'%.12g' text of float columns, one comma-separated row per line up to the
+    shortest column, yielded FORMAT_CHUNK rows at a time through one %-template."""
+    rows = min(len(c) for c in columns)
+    line = ",".join(["%.12g"] * len(columns)) + "\n"
+    for lo in range(0, rows, FORMAT_CHUNK):
+        chunk = np.column_stack([c[lo : min(lo + FORMAT_CHUNK, rows)] for c in columns])
+        yield line * len(chunk) % tuple(chunk.ravel().tolist())
+
+
 def series_to_csv(series: IntensitySeries) -> str:
     """CSV with a commented header recording the grid and field parameters."""
     buf = io.StringIO()
@@ -217,8 +233,6 @@ def series_to_csv(series: IntensitySeries) -> str:
     ):
         if key in series.metadata:
             buf.write(f"# {key}={series.metadata[key]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t_prime", "intensity"])
-    for t, i in zip(series.t, series.intensity):
-        writer.writerow([f"{t:.12g}", f"{i:.12g}"])
+    buf.write("t_prime,intensity\n")
+    buf.writelines(_format_rows(series.t, series.intensity))
     return buf.getvalue()

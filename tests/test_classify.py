@@ -5,8 +5,9 @@ import math
 
 import pytest
 
+from brightdark import classify
 from brightdark.classify import Label, classify_coherent, classify_fock, scan_phase
-from brightdark.errors import DegenerateInputError
+from brightdark.errors import DegenerateInputError, ResourceLimitError
 from brightdark.fock import ModePhases, StateVector, vacuum
 from brightdark.states import CoherentSpec, single_photon_state, two_mode_bright, two_mode_dark
 
@@ -171,6 +172,20 @@ def test_scan_m4_dark_set():
 def test_scan_grid_too_coarse_rejected(m, grid):
     with pytest.raises(ValueError, match="cannot resolve all dark phases"):
         scan_phase(m, "coherent", grid)
+
+
+@pytest.mark.parametrize("grid", [classify.SCAN_MAX_POINTS + 4, 4 * 10**9])
+def test_scan_past_the_point_bound_is_refused(grid):
+    # 4e9 points would take hours and hundreds of GB if anything were built.
+    with pytest.raises(ResourceLimitError, match="scan points"):
+        scan_phase(4, "coherent", grid)
+
+
+def test_scan_at_the_point_bound_runs(monkeypatch):
+    monkeypatch.setattr(classify, "SCAN_MAX_POINTS", 16)
+    assert len(scan_phase(4, "coherent", 16)) == 16
+    with pytest.raises(ResourceLimitError):
+        scan_phase(4, "coherent", 20)
 
 
 def test_scan_unknown_family_rejected():

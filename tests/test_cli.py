@@ -7,12 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_properties import _oracle_round_sig, _oracle_series_to_csv
 
-from brightdark.classify import classify_fock
+from brightdark.classify import SCAN_MAX_POINTS, classify_fock
 from brightdark.cli import main
 from brightdark.fock import ModePhases
-from brightdark.pulses import SERIES_MAX_SAMPLES
+from brightdark.pulses import (
+    SERIES_MAX_SAMPLES,
+    LaserField,
+    intensity_series,
+    pulse_metrics,
+    unlocked_intensity,
+)
 from brightdark.states import single_photon_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -63,6 +71,75 @@ def test_pulse_train_unlocked_deterministic(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical
+
+
+def _oracle_pulse_train(n_side, samples, periods=1, seed=None, fmt="csv"):
+    """The pulse-train document through the per-row CSV writer and per-element rounding."""
+    field = LaserField(n_side=n_side)
+    if seed is None:
+        series = intensity_series(field, samples, periods)
+        pm = pulse_metrics(series)
+        metrics = {"fwhm": pm.fwhm, "period": pm.period, "duty_ratio": pm.duty_ratio, "peak": pm.peak}
+    else:
+        series = unlocked_intensity(field, seed, samples, periods)
+        metrics = {
+            "mean_intensity": float(np.mean(series.intensity)),
+            "max_intensity": float(np.max(series.intensity)),
+        }
+    if fmt == "csv":
+        footer = "".join(f"# {k}={_oracle_round_sig(v)}\n" for k, v in sorted(metrics.items()))
+        return _oracle_series_to_csv(series) + footer
+    params = {
+        "n_side": n_side, "e0": 1.0, "delta_omega": 1.0, "phi": 0.0,
+        "samples": samples, "periods": periods, "unlocked": seed is not None,
+    }
+    if seed is not None:
+        params["seed"] = seed
+    results = {
+        "metadata": series.metadata,
+        "metrics": metrics,
+        "t_prime": list(series.t),
+        "intensity": list(series.intensity),
+    }
+    doc = {
+        "command": "pulse-train",
+        "params": _oracle_round_sig(params),
+        "results": _oracle_round_sig(results),
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "n_side, samples, periods, seed",
+    [
+        (5, 128, 1, None),
+        (4, 64, 2, 9),
+        (3, 256, 3, None),
+        (3, 100, 3, 11),
+        (5, 16, 1, 3),  # under-resolved: the header carries a warning
+    ],
+)
+def test_pulse_train_bytes_match_the_per_row_oracle(capsys, fmt, n_side, samples, periods, seed):
+    argv = ["pulse-train", "--n-side", str(n_side), "--samples", str(samples),
+            "--periods", str(periods), "--format", fmt]
+    if seed is not None:
+        argv += ["--unlocked", "--seed", str(seed)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == _oracle_pulse_train(n_side, samples, periods, seed, fmt)
+    if samples < 4 * (2 * n_side + 1) and fmt == "csv":
+        assert "# warning=" in out
+
+
+def test_cli_import_leaves_scipy_out():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, brightdark.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_classify_bright(capsys):
@@ -249,6 +326,13 @@ def test_scan_phase_m5_single_photon(capsys):
     assert code == 0
     assert doc["results"]["dark_points"] == 4
     assert doc["results"]["bright_points"] == 1
+
+
+def test_scan_phase_past_the_point_bound_exits_3(capsys):
+    grid = (SCAN_MAX_POINTS // 4 + 1) * 4
+    assert main(["scan-phase", "--m", "4", "--grid", str(grid)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "scan points" in captured.err
 
 
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,11 @@
 """Property-based invariants over randomized states and phases."""
 
 import cmath
+import csv
+import io
+import json
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brightdark.classify import classify_fock
+from brightdark.cli import _round_sig
 from brightdark.collective import build_basis, from_collective, to_collective
 from brightdark.errors import DegenerateInputError
 from brightdark.fock import (
@@ -20,6 +25,7 @@ from brightdark.fock import (
     create,
     inner_product,
 )
+from brightdark.pulses import FORMAT_CHUNK, IntensitySeries, series_to_csv
 from brightdark.states import CoherentSpec, coherent_state, two_mode_dark
 
 finite_phases = st.floats(
@@ -252,3 +258,94 @@ def test_coherent_state_matches_per_term_product(modes, alpha, data):
     assert got.keys() == want.keys()
     for occ, a in want.items():
         assert got[occ] == pytest.approx(a, rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The chunked %.12g formatter against the per-row writers it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_series_to_csv(series):
+    """One csv.writer row of two f-strings per sample."""
+    buf = io.StringIO()
+    for key in (
+        "kind",
+        "n_side",
+        "m_total",
+        "e0",
+        "delta_omega",
+        "phi",
+        "samples_per_period",
+        "periods",
+        "resolution_ok",
+        "seed",
+        "warning",
+    ):
+        if key in series.metadata:
+            buf.write(f"# {key}={series.metadata[key]}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t_prime", "intensity"])
+    for t, i in zip(series.t, series.intensity):
+        writer.writerow([f"{t:.12g}", f"{i:.12g}"])
+    return buf.getvalue()
+
+
+def _oracle_round_sig(value):
+    """Round every number to 12 significant digits, one element at a time."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(f"{float(value):.12g}")
+    if isinstance(value, dict):
+        return {k: _oracle_round_sig(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_oracle_round_sig(v) for v in value]
+    return value
+
+
+def _near(centre):
+    """Floats within 1e-11 (relative) of +-centre, where 12-digit rounding can switch notation."""
+    return st.floats(
+        min_value=centre * (1 - 1e-11), max_value=centre * (1 + 1e-11)
+    ).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+edge_floats = st.one_of(
+    st.floats(),  # any float, nan and +-inf included
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308),  # subnormals
+    st.sampled_from([1e-4, 1e12, 1e300, 1e-300]).flatmap(_near),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+edge_values = st.lists(edge_floats, min_size=1, max_size=40)
+# Lengths around the formatter's chunk, so that partial and whole chunks both show.
+row_counts = [0, 1, 2, 37, FORMAT_CHUNK - 1, FORMAT_CHUNK, FORMAT_CHUNK + 1]
+
+
+def _tiled(values, rows):
+    """A float64 array of `rows` entries, the drawn edge values repeated."""
+    return np.resize(np.array(values, dtype=float), rows)
+
+
+@pytest.mark.parametrize("rows", row_counts)
+@settings(max_examples=20, deadline=None)
+@given(
+    edge_values,
+    edge_values,
+    st.sampled_from([0, 5]),  # extra intensity rows: both writers stop at the shorter column
+    st.sampled_from([{}, {"kind": "locked", "n_side": 3}]),
+)
+def test_series_csv_matches_csv_writer_oracle(rows, t_values, i_values, extra, metadata):
+    series = IntensitySeries(_tiled(t_values, rows), _tiled(i_values, rows + extra), metadata)
+    assert series_to_csv(series) == _oracle_series_to_csv(series)
+
+
+@pytest.mark.parametrize("rows", row_counts)
+@settings(max_examples=20, deadline=None)
+@given(edge_values)
+def test_round_sig_matches_per_element_oracle(rows, values):
+    doc = {"x": _tiled(values, rows), "n": 3, "flag": True}
+    got, want = _round_sig(doc), _oracle_round_sig(doc)
+    assert all(type(v) is float for v in got["x"])
+    assert json.dumps(got) == json.dumps(want)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from brightdark.errors import ResolutionError
+from brightdark import pulses
+from brightdark.errors import ResolutionError, ResourceLimitError
 from brightdark.pulses import (
     LaserField,
     amplitude_closed,
@@ -21,6 +22,20 @@ def test_peak_at_time_zero():
     field = LaserField(n_side=3)
     assert amplitude_closed(field, 0.0) == pytest.approx(field.e0 * 7)
     assert amplitude_direct(field, 0.0) == pytest.approx(field.e0 * 7)
+
+
+def test_direct_sum_past_the_sample_bound_is_refused():
+    # 2e9 modes: the mode index array alone would take 16 GB.
+    with pytest.raises(ResourceLimitError, match="mode samples"):
+        amplitude_direct(LaserField(n_side=10**9), np.zeros(100))
+
+
+def test_direct_sum_at_the_sample_bound_runs(monkeypatch):
+    monkeypatch.setattr(pulses, "SERIES_MAX_SAMPLES", 90)
+    field = LaserField(n_side=4)  # 9 modes
+    assert amplitude_direct(field, np.zeros(10)) == pytest.approx(np.full(10, 9.0))
+    with pytest.raises(ResourceLimitError):
+        amplitude_direct(field, np.zeros(11))
 
 
 def test_first_zero_of_the_envelope():
