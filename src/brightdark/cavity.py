@@ -32,6 +32,9 @@ class CavityDesign:
     rep_period: float = 1e-3        # s
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         for name in ("lambda0", "dlambda_g", "length", "pulse_duration", "rep_period"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
-from .fock import PRUNE_THRESHOLD, ModePhases, StateVector, _lower
+from .fock import ModePhases, StateVector, _lower, _significant
 from .pulses import dirichlet
 from .states import CoherentSpec
 
@@ -69,7 +69,7 @@ def classify_fock(
             "vacuum state couples to nothing; trivially dark", vacuum=True
         )
     lowered = _lower(state, detection_phases)[0]
-    lowered = lowered[np.abs(lowered) >= PRUNE_THRESHOLD]  # as apply_field prunes
+    lowered = lowered[_significant(lowered)]  # as apply_field prunes
     beta = math.sqrt(np.vdot(lowered, lowered).real) / norm
     beta_max = math.sqrt(state.modes * top)
     return Classification(beta, _label_for(beta, beta_max, tol), beta_max, tol)

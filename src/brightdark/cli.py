@@ -97,6 +97,12 @@ def _parse_phase(args, parser: argparse.ArgumentParser) -> float:
     return args.phase
 
 
+def _params(args, *drop: str) -> dict:
+    """A command's JSON ``params``: its parsed options less ``drop`` and the plumbing."""
+    skip = {"command", "func", "output", *drop}
+    return {k: v for k, v in vars(args).items() if k not in skip}
+
+
 def _classification_dict(result) -> dict:
     return {
         "beta": result.beta,
@@ -130,15 +136,7 @@ def cmd_pulse_train(args, parser) -> int:
         text += "".join(f"# {k}={_round_sig(v)}\n" for k, v in sorted(metrics.items()))
         _write_output(text, args.output)
     else:
-        params = {
-            "n_side": args.n_side,
-            "e0": args.e0,
-            "delta_omega": args.delta_omega,
-            "phi": args.phi,
-            "samples": args.samples,
-            "periods": args.periods,
-            "unlocked": args.unlocked,
-        }
+        params = _params(args, "format", "seed")
         if args.unlocked:
             params["seed"] = args.seed
         results = {
@@ -168,12 +166,7 @@ def cmd_classify(args, parser) -> int:
             raise DegenerateInputError("alpha = 0 is the vacuum; trivially dark", vacuum=True)
     # The locked ladder at zero detection phases: both families share the kernel.
     (result,) = _classify_locked(args.m, [phase], args.tol)
-    params = {
-        "m": args.m,
-        "family": args.family,
-        "phase": phase,
-        "tol": args.tol,
-    }
+    params = _params(args, "phase_frac", "alpha") | {"phase": phase}
     if args.family == "coherent":
         params["alpha"] = repr(args.alpha)
     _emit_json("classify", params, _classification_dict(result), args.output)
@@ -191,9 +184,7 @@ def cmd_count_dark(args, parser) -> int:
     }
     if args.m <= 64:
         results["locked_dark_phases"] = locked_dark_phases(args.m, verify=True)
-    _emit_json(
-        "count-dark", {"m": args.m, "enumerate": args.enumerate}, results, args.output
-    )
+    _emit_json("count-dark", _params(args), results, args.output)
     return EXIT_OK
 
 
@@ -207,15 +198,7 @@ def cmd_estimate_cavity(args, parser) -> int:
         rep_period=args.rep_ms * 1e-3,
     )
     report = ratio_report(design)
-    params = {
-        "lambda0_nm": args.lambda0_nm,
-        "dlambda_nm": args.dlambda_nm,
-        "l_mm": args.l_mm,
-        "n": args.n,
-        "pulse_ns": args.pulse_ns,
-        "rep_ms": args.rep_ms,
-    }
-    _emit_json("estimate-cavity", params, report.to_dict(), args.output)
+    _emit_json("estimate-cavity", _params(args), report.to_dict(), args.output)
     return EXIT_OK
 
 
@@ -231,8 +214,7 @@ def cmd_scan_phase(args, parser) -> int:
         "bright_points": labels.count("Bright"),
         "intermediate_points": labels.count("Intermediate"),
     }
-    params = {"m": args.m, "family": args.family, "grid": args.grid, "tol": args.tol}
-    _emit_json("scan-phase", params, results, args.output)
+    _emit_json("scan-phase", _params(args), results, args.output)
     return EXIT_OK
 
 

@@ -55,14 +55,14 @@ def build_basis(modes: int, kind: str) -> CollectiveBasis:
 
 def _single_photon_vector(state: StateVector) -> np.ndarray:
     """Amplitudes <m|state); rejects anything outside the one-photon sector."""
+    wrong = state._occ.sum(axis=1) != 1
+    if wrong.any():
+        raise SectorError(
+            f"collective decomposition needs a single-photon state, "
+            f"found occupation {tuple(state._occ[wrong.argmax()].tolist())}"
+        )
     vec = np.zeros(state.modes, dtype=complex)
-    for occ, amp in state.terms.items():
-        if sum(occ) != 1:
-            raise SectorError(
-                f"collective decomposition needs a single-photon state, "
-                f"found occupation {occ}"
-            )
-        vec[occ.index(1)] = amp
+    vec[state._occ.argmax(axis=1)] = state._amp
     return vec
 
 
@@ -101,8 +101,4 @@ def from_collective(
             f"{reference_phases.modes} reference phases for {basis.modes} modes"
         )
     vec = np.exp(-1j * np.asarray(reference_phases.theta)) * (basis.matrix.T @ coefficients)
-    terms = {}
-    for m, amp in enumerate(vec):
-        occ = tuple(1 if k == m else 0 for k in range(basis.modes))
-        terms[occ] = amp
-    return StateVector(basis.modes, terms, cutoff=1)
+    return StateVector._from_arrays(basis.modes, np.eye(basis.modes, dtype=np.int64), vec, 1)

@@ -16,6 +16,9 @@ from .classify import DEFAULT_TOL, Label, _classify_locked
 from .errors import ResourceLimitError
 
 ENUMERATION_MAX_MODES = 24
+# dark_census bound: C(M, M/2) has about 0.301*M digits, and Python converts
+# ints of up to 4300 digits to text.
+COUNT_MAX_MODES = 14_000
 
 
 def count_pi_phase_dark(modes: int) -> int:
@@ -99,6 +102,8 @@ class DarkCensus:
 
 
 def dark_census(modes: int, enumerate_states: bool = False) -> DarkCensus:
+    if modes > COUNT_MAX_MODES:
+        raise ResourceLimitError(f"{modes} modes exceed the {COUNT_MAX_MODES}-mode census bound")
     analytic = count_pi_phase_dark(modes) if modes % 2 == 0 and modes >= 2 else None
     enumerated = len(enumerate_sign_states(modes)) if enumerate_states else None
     if analytic is not None and enumerated is not None and analytic != enumerated:

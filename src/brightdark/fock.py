@@ -1,13 +1,14 @@
 """Sparse truncated Fock space for M bosonic modes.
 
-States are stored as a map from occupation tuples ``(n_0, ..., n_{M-1})``
-to complex amplitudes, and alongside it as an occupation matrix and an
-amplitude vector; only nonzero terms are kept.  The detection-point field
-operator is ``E = sum_m exp(i*theta_m) a_m`` with ``a_m`` the annihilation
-operator of mode ``m``; it runs on the arrays, indexing occupations by
-their rank in the combinatorial number system.  Ranks are exact in int64
-while ``C(top + M, M) < 2**63`` (``top`` the highest occupied sector), and
-the rank table has ``(M + 1) * (top + 1)`` cells; past either bound
+A state is stored as an occupation matrix (one row ``(n_0, ..., n_{M-1})``
+per term) and an amplitude vector; only nonzero terms are kept, and the map
+from occupation tuples to amplitudes is a read-only view built on demand.
+Ladder operators, tensor products and the detection-point field operator
+``E = sum_m exp(i*theta_m) a_m`` (``a_m`` the annihilation operator of mode
+``m``) run on the arrays.  The field operator indexes occupations by their
+rank in the combinatorial number system.  Ranks are exact in int64 while
+``C(top + M, M) < 2**63`` (``top`` the highest occupied sector), and the
+rank table has ``(M + 1) * (top + 1)`` cells; past either bound
 (``RANK_LIMIT``, ``RANK_TABLE_MAX``) the field operator raises
 ResourceLimitError before allocating.
 """
@@ -15,7 +16,10 @@ ResourceLimitError before allocating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,6 +30,13 @@ from .errors import DimensionMismatchError, ResourceLimitError
 PRUNE_THRESHOLD = 1e-15
 
 TWO_PI = 2.0 * math.pi
+
+
+def _significant(amp: np.ndarray) -> np.ndarray:
+    """Mask of the amplitudes kept.  ``hypot`` gives the magnitude that Python's
+    ``abs`` gives; numpy's complex ``abs`` can differ from it in the last bit,
+    which moves terms at the threshold across it."""
+    return np.hypot(amp.real, amp.imag) >= PRUNE_THRESHOLD
 
 
 def _reduce_phase(x: float) -> float:
@@ -50,6 +61,8 @@ class ModePhases:
             raise DimensionMismatchError(
                 f"{len(self.theta)} phases for {self.modes} modes"
             )
+        if not all(math.isfinite(t) for t in self.theta):
+            raise ValueError(f"phases must be finite, got {self.theta}")
         object.__setattr__(
             self, "theta", tuple(_reduce_phase(t) for t in self.theta)
         )
@@ -64,29 +77,24 @@ class ModePhases:
         return cls(modes, tuple(m * step for m in range(modes)))
 
 
-@dataclass(frozen=True)
 class StateVector:
     """Pure state of ``modes`` bosonic modes, truncated at ``cutoff`` total photons.
 
-    ``terms`` maps occupation tuples to amplitudes.  The same terms are kept
-    privately as a ``(T, modes)`` occupation matrix and a length-T amplitude
-    vector, which the numeric operations read.  Instances are treated as
-    immutable values: every operation returns a new StateVector.
+    The terms are held as a ``(T, modes)`` int64 occupation matrix and a
+    length-T amplitude vector.  ``terms``, the read-only map from occupation
+    tuples to amplitudes, is built from them the first time it is read.
+    Instances are immutable values: every operation returns a new StateVector.
     """
 
-    modes: int
-    terms: dict[tuple[int, ...], complex] = field(default_factory=dict)
-    cutoff: int = 1
-
-    def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError(f"need at least one mode, got {self.modes}")
-        keys = list(self.terms)
-        wrong = next((occ for occ in keys if len(occ) != self.modes), None)
+    def __init__(self, modes: int, terms: Mapping = MappingProxyType({}), cutoff: int = 1):
+        if modes < 1:
+            raise ValueError(f"need at least one mode, got {modes}")
+        keys = list(terms)
+        wrong = next((occ for occ in keys if len(occ) != modes), None)
         if wrong is not None:
-            raise _length_error(wrong, self.modes)
-        occ = np.array(keys, dtype=np.int64).reshape(len(keys), self.modes)
-        self._store(occ, np.array(list(self.terms.values()), dtype=complex))
+            raise _length_error(wrong, modes)
+        occ = np.array(keys, dtype=np.int64).reshape(len(keys), modes)
+        self._store(modes, cutoff, occ, np.array(list(terms.values()), dtype=complex))
 
     @classmethod
     def _from_arrays(
@@ -94,38 +102,50 @@ class StateVector:
     ) -> "StateVector":
         """Build from an occupation matrix and amplitude vector, with the same checks."""
         state = cls.__new__(cls)
-        object.__setattr__(state, "modes", modes)
-        object.__setattr__(state, "cutoff", cutoff)
-        state._store(occ, amp)
+        state._store(modes, cutoff, occ, amp)
         return state
 
-    def _store(self, occ: np.ndarray, amp: np.ndarray) -> None:
-        """Validate the term arrays in one pass, prune tiny amplitudes, keep both forms."""
-        if self.modes < 1:
-            raise ValueError(f"need at least one mode, got {self.modes}")
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be non-negative, got {self.cutoff}")
-        if occ.shape[1:] != (self.modes,):
-            raise _length_error(occ[0], self.modes)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StateVector is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"StateVector(modes={self.modes}, cutoff={self.cutoff}, "
+            f"occupations={self._occ.tolist()}, amplitudes={self._amp.tolist()})"
+        )
+
+    def _store(self, modes: int, cutoff: int, occ: np.ndarray, amp: np.ndarray) -> None:
+        """Validate the term arrays in one pass, prune tiny amplitudes, keep them."""
+        if modes < 1:
+            raise ValueError(f"need at least one mode, got {modes}")
+        if cutoff < 0:
+            raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+        if occ.shape[1:] != (modes,):
+            raise _length_error(occ[0], modes)
         totals = occ.sum(axis=1)
         top = int(totals.max(initial=0))
-        if top > self.cutoff or occ.min(initial=0) < 0:
+        if top > cutoff or occ.min(initial=0) < 0:
             negative = (occ < 0).any(axis=1)
-            row = int((negative | (totals > self.cutoff)).argmax())
+            row = int((negative | (totals > cutoff)).argmax())
             occ_t = tuple(occ[row].tolist())
             if negative[row]:
                 raise ValueError(f"negative occupation in {occ_t}")
-            raise ValueError(f"occupation {occ_t} exceeds photon cutoff {self.cutoff}")
-        keep = np.abs(amp) >= PRUNE_THRESHOLD
+            raise ValueError(f"occupation {occ_t} exceeds photon cutoff {cutoff}")
+        if not np.isfinite(amp).all():
+            raise ValueError(f"amplitudes must be finite, got {amp[~np.isfinite(amp)][0]}")
+        keep = _significant(amp)
         if not keep.all():
             occ, amp = occ[keep], amp[keep]
             top = int(totals[keep].max(initial=0))
-        object.__setattr__(self, "_occ", occ)
-        object.__setattr__(self, "_amp", amp)
-        object.__setattr__(self, "_top", top)
+        # Straight into the instance dict: __setattr__ refuses every write.
+        self.__dict__.update(modes=modes, cutoff=cutoff, _occ=occ, _amp=amp, _top=top)
+
+    @cached_property
+    def terms(self) -> Mapping[tuple[int, ...], complex]:
+        """Read-only map from occupation tuples to amplitudes, built on first read."""
         # Zipping the column lists makes the key tuples without a list per term.
-        keys = zip(*occ.T.tolist())
-        object.__setattr__(self, "terms", dict(zip(keys, amp.tolist())))
+        keys = zip(*self._occ.T.tolist())
+        return MappingProxyType(dict(zip(keys, self._amp.tolist())))
 
     def norm(self) -> float:
         return math.sqrt(np.vdot(self._amp, self._amp).real)
@@ -137,7 +157,7 @@ class StateVector:
         return StateVector._from_arrays(self.modes, self._occ, self._amp / n, self.cutoff)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self._amp.size == 0
 
     def top_sector(self) -> int:
         """Largest total photon number carried by any stored term (0 if empty)."""
@@ -166,27 +186,22 @@ def _check_mode(state: StateVector, mode: int) -> None:
 def annihilate(state: StateVector, mode: int) -> StateVector:
     """Apply a_mode: |..., n, ...> -> sqrt(n) |..., n-1, ...>."""
     _check_mode(state, mode)
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.terms.items():
-        n = occ[mode]
-        if n == 0:
-            continue
-        lowered = occ[:mode] + (n - 1,) + occ[mode + 1 :]
-        out[lowered] = out.get(lowered, 0.0) + math.sqrt(n) * amp
-    return StateVector(state.modes, out, state.cutoff)
+    n = state._occ[:, mode]
+    keep = n > 0
+    occ = state._occ[keep]
+    occ[:, mode] -= 1  # one-to-one on the kept terms: no two land on one occupation
+    amp = np.sqrt(n[keep]) * state._amp[keep]
+    return StateVector._from_arrays(state.modes, occ, amp, state.cutoff)
 
 
 def create(state: StateVector, mode: int) -> StateVector:
     """Apply a_mode^dagger; terms raised past the cutoff are truncated away."""
     _check_mode(state, mode)
-    out: dict[tuple[int, ...], complex] = {}
-    for occ, amp in state.terms.items():
-        if sum(occ) >= state.cutoff:
-            continue
-        n = occ[mode]
-        raised = occ[:mode] + (n + 1,) + occ[mode + 1 :]
-        out[raised] = out.get(raised, 0.0) + math.sqrt(n + 1) * amp
-    return StateVector(state.modes, out, state.cutoff)
+    keep = state._occ.sum(axis=1) < state.cutoff
+    occ = state._occ[keep]
+    occ[:, mode] += 1  # one-to-one, as in annihilate
+    amp = np.sqrt(occ[:, mode]) * state._amp[keep]
+    return StateVector._from_arrays(state.modes, occ, amp, state.cutoff)
 
 
 # Bounds of the field operator's rank index: the rank range C(top + M, M)
@@ -308,8 +323,6 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; modes of ``b`` are appended after those of ``a``."""
-    out: dict[tuple[int, ...], complex] = {}
-    for occ_a, amp_a in a.terms.items():
-        for occ_b, amp_b in b.terms.items():
-            out[occ_a + occ_b] = amp_a * amp_b
-    return StateVector(a.modes + b.modes, out, a.cutoff + b.cutoff)
+    occ = np.hstack([np.repeat(a._occ, b._amp.size, axis=0), np.tile(b._occ, (a._amp.size, 1))])
+    amp = np.multiply.outer(a._amp, b._amp).ravel()
+    return StateVector._from_arrays(a.modes + b.modes, occ, amp, a.cutoff + b.cutoff)

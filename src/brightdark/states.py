@@ -43,7 +43,8 @@ class CoherentSpec:
 
     @property
     def mean_total_photons(self) -> float:
-        return self.phases.modes * abs(self.alpha) ** 2
+        a = abs(self.alpha)  # a * a is inf past the float range, where a ** 2 raises
+        return self.phases.modes * (a * a)
 
     def required_cutoff(self) -> int:
         """Smallest N with Poisson tail P(total > N) below cutoff_prob."""
@@ -149,9 +150,7 @@ def two_mode_bright(n_photons: int, phi_tilde: float = 0.0) -> StateVector:
     """
     state = _two_mode_sum(n_photons, phi_tilde, signs=False)
     global_phase = cmath.exp(-1j * n_photons * phi_tilde)
-    return StateVector(
-        2, {occ: global_phase * amp for occ, amp in state.terms.items()}, n_photons
-    )
+    return StateVector._from_arrays(2, state._occ, global_phase * state._amp, n_photons)
 
 
 def two_mode_dark(n_photons: int, phi_tilde: float = 0.0) -> StateVector:

@@ -134,6 +134,15 @@ def test_invalid_geometry_rejected():
         design(dlambda_g=800e-9)
 
 
+@pytest.mark.parametrize(
+    "name", ["lambda0", "dlambda_g", "length", "n_index", "pulse_duration", "rep_period"]
+)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_fields_rejected(name, bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        design(**{name: bad})
+
+
 def test_unit_conversion_round_trip_is_exact():
     # nm -> m -> nm at the CLI boundary must not lose bits
     for nm in (780.0, 30.0, 1055.3):

@@ -13,6 +13,7 @@ from test_properties import _oracle_round_sig, _oracle_series_to_csv
 
 from brightdark.classify import SCAN_MAX_POINTS, classify_fock
 from brightdark.cli import main
+from brightdark.counting import COUNT_MAX_MODES
 from brightdark.fock import ModePhases
 from brightdark.pulses import (
     SERIES_MAX_SAMPLES,
@@ -277,6 +278,16 @@ def test_count_dark_resource_limit(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m, code", [(COUNT_MAX_MODES, 0), (COUNT_MAX_MODES + 2, 3)])
+def test_count_dark_mode_bound(capsys, m, code):
+    assert main(["count-dark", "--m", str(m)]) == code
+    out = capsys.readouterr().out
+    if code == 0:  # the count, about 0.301*M digits, still prints
+        assert json.loads(out)["results"]["pi_phase_count"] == math.comb(m, m // 2) // 2
+    else:
+        assert out == ""
+
+
 def test_estimate_cavity_reference(capsys):
     code, doc = run_json(
         capsys,
@@ -309,6 +320,16 @@ def test_estimate_cavity_missing_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate-cavity", "--lambda0-nm", "780"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--l-mm", "--n", "--pulse-ns"])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_estimate_cavity_non_finite_exits_2(capsys, flag, bad):
+    argv = ["estimate-cavity", "--lambda0-nm", "780", "--dlambda-nm", "30", "--l-mm", "250"]
+    assert main(argv + [flag, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_scan_phase_counts(capsys):

@@ -17,6 +17,7 @@ from brightdark.fock import (
     tensor,
     vacuum,
 )
+from brightdark.states import single_photon_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -180,6 +181,33 @@ def test_tensor_concatenates_modes():
 def test_state_vector_prunes_tiny_amplitudes():
     state = StateVector(2, {(1, 0): 1.0, (0, 1): 1e-16}, 1)
     assert (0, 1) not in state.terms
+
+
+def test_terms_view_is_read_only():
+    state = StateVector(2, {(1, 0): 0.6, (0, 1): 0.8}, 1)
+    with pytest.raises(TypeError):
+        state.terms[(1, 0)] = 1.0
+    with pytest.raises(AttributeError):
+        state.terms = {}
+    with pytest.raises(AttributeError):
+        state.modes = 3
+    assert state.amplitude((1, 0)) == 0.6
+    assert state.norm() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])
+def test_state_vector_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(2, {(1, 0): bad, (0, 1): 1.0}, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mode_phases_reject_non_finite_phases(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ModePhases(3, (0.0, bad, 0.0))
+    # Not the "zero vector" error that a pruned NaN state used to give.
+    with pytest.raises(ValueError, match="finite"):
+        classify_fock(single_photon_state(ModePhases.locked(4, bad)), ModePhases.zero(4))
 
 
 def test_state_vector_rejects_over_cutoff_terms():

@@ -24,9 +24,10 @@ from brightdark.fock import (
     apply_field,
     create,
     inner_product,
+    tensor,
 )
 from brightdark.pulses import FORMAT_CHUNK, IntensitySeries, series_to_csv
-from brightdark.states import CoherentSpec, coherent_state, two_mode_dark
+from brightdark.states import CoherentSpec, coherent_state, two_mode_bright, two_mode_dark
 
 finite_phases = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -126,6 +127,10 @@ def test_collective_round_trip_and_parseval(amps, ref_raw, kind):
 # The array kernel against the per-term dict loops it replaced
 # ---------------------------------------------------------------------------
 
+def _pruned(out):
+    return {occ: a for occ, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
+
+
 def _oracle_apply_field(state, phases):
     """E = sum_m exp(i*theta_m) a_m term by term, pruned as StateVector prunes."""
     factors = [complex(math.cos(t), math.sin(t)) for t in phases.theta]
@@ -136,7 +141,42 @@ def _oracle_apply_field(state, phases):
                 continue
             lowered = occ[:mode] + (n - 1,) + occ[mode + 1 :]
             out[lowered] = out.get(lowered, 0.0) + factors[mode] * math.sqrt(n) * amp
-    return {occ: a for occ, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
+    return _pruned(out)
+
+
+def _oracle_annihilate(state, mode):
+    out = {}
+    for occ, amp in state.terms.items():
+        n = occ[mode]
+        if n == 0:
+            continue
+        lowered = occ[:mode] + (n - 1,) + occ[mode + 1 :]
+        out[lowered] = out.get(lowered, 0.0) + math.sqrt(n) * amp
+    return _pruned(out)
+
+
+def _oracle_create(state, mode):
+    out = {}
+    for occ, amp in state.terms.items():
+        if sum(occ) >= state.cutoff:
+            continue
+        n = occ[mode]
+        raised = occ[:mode] + (n + 1,) + occ[mode + 1 :]
+        out[raised] = out.get(raised, 0.0) + math.sqrt(n + 1) * amp
+    return _pruned(out)
+
+
+def _oracle_tensor(a, b):
+    out = {}
+    for occ_a, amp_a in a.terms.items():
+        for occ_b, amp_b in b.terms.items():
+            out[occ_a + occ_b] = amp_a * amp_b
+    return _pruned(out)
+
+
+def _assert_terms_close(got, want):
+    for occ in set(got) | set(want):
+        assert got.get(occ, 0.0) == pytest.approx(want.get(occ, 0.0), abs=1e-12)
 
 
 def _oracle_norm(terms):
@@ -171,10 +211,35 @@ def fock_states(draw):
 @given(fock_states())
 def test_field_kernel_matches_dict_oracle(case):
     state, phases = case
-    got = apply_field(state, phases).terms
-    want = _oracle_apply_field(state, phases)
-    for occ in set(got) | set(want):
-        assert got.get(occ, 0.0) == pytest.approx(want.get(occ, 0.0), abs=1e-12)
+    _assert_terms_close(apply_field(state, phases).terms, _oracle_apply_field(state, phases))
+
+
+@settings(max_examples=100)
+@given(fock_states(), fock_states(), st.data())
+def test_ladder_and_tensor_match_dict_oracles(case, other, data):
+    # The drawn states hold amplitudes near PRUNE_THRESHOLD and terms at the
+    # cutoff, which create truncates away.
+    state, other = case[0], other[0]
+    mode = data.draw(st.integers(min_value=0, max_value=state.modes - 1))
+    _assert_terms_close(annihilate(state, mode).terms, _oracle_annihilate(state, mode))
+    _assert_terms_close(create(state, mode).terms, _oracle_create(state, mode))
+    _assert_terms_close(tensor(state, other).terms, _oracle_tensor(state, other))
+
+
+def _oracle_two_mode_bright(n_photons, phi):
+    """The closed form in the docstring of two_mode_bright, term by term."""
+    scale = cmath.exp(-1j * n_photons * phi) * math.sqrt(math.factorial(n_photons) / 2.0**n_photons)
+    out = {}
+    for n in range(n_photons + 1):
+        norm = math.sqrt(math.factorial(n) * math.factorial(n_photons - n))
+        out[(n, n_photons - n)] = scale * cmath.exp(1j * n * phi) / norm
+    return _pruned(out)
+
+
+@given(st.integers(min_value=0, max_value=12), finite_phases)
+def test_two_mode_bright_matches_closed_form(n_photons, phi):
+    got = two_mode_bright(n_photons, phi).terms
+    _assert_terms_close(got, _oracle_two_mode_bright(n_photons, phi))
 
 
 @settings(max_examples=100)

@@ -122,6 +122,12 @@ def test_coherent_build_past_term_bound_is_refused():
         coherent_state(CoherentSpec(1.0, ModePhases.zero(8)))
 
 
+def test_coherent_build_with_huge_alpha_is_refused():
+    # |alpha|**2 overflows a float; the cutoff guard refuses it, no OverflowError.
+    with pytest.raises(ResourceLimitError):
+        coherent_state(CoherentSpec(1e200, ModePhases.zero(3)))
+
+
 def test_coherent_pairwise_factorization_at_pi():
     # Four-mode pi ladder = product of two opposite-phase mode pairs.  Both
     # truncations fully cover total <= 14 photons; beyond that the product
