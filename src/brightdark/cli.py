@@ -12,6 +12,7 @@ an error: the command stops writing and exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -218,6 +219,7 @@ def cmd_scan_phase(args, parser) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it found it, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brightdark",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classify import DEFAULT_TOL, Label, _classify_locked
 from .errors import ResourceLimitError
 
@@ -31,12 +33,10 @@ def count_pi_phase_dark(modes: int) -> int:
     return math.comb(modes, modes // 2) // 2
 
 
-def enumerate_sign_states(modes: int) -> list[tuple[int, ...]]:
-    """Exhaustively list every zero-sum vector in {+1,-1}^M, first entry +1.
-
-    Scans all 2^(M-1) assignments of the remaining entries, so the result is
-    an independent check of :func:`count_pi_phase_dark`.
-    """
+def _balanced_masks(modes: int):
+    """Yield, in chunks of up to 2^16 and in increasing order, the masks of entries
+    1..M-1 (bit b set: entry b + 1 is -1) whose vector sums to zero; every one
+    of the 2^(M-1) masks is popcounted, an independent check of the closed form."""
     if modes < 1:
         raise ValueError(f"need at least one mode, got {modes}")
     if modes > ENUMERATION_MAX_MODES:
@@ -44,14 +44,24 @@ def enumerate_sign_states(modes: int) -> list[tuple[int, ...]]:
             f"enumeration over 2^{modes - 1} sign vectors exceeds the "
             f"{ENUMERATION_MAX_MODES}-mode bound"
         )
+    total = 1 << (modes - 1)
+    for start in range(0, total, 1 << 16):
+        masks = np.arange(start, min(start + (1 << 16), total), dtype=np.uint32)
+        # Component sum is 1 + (M - 1 - k) - k with k minus-signs among the rest.
+        yield masks[2 * np.bitwise_count(masks) == modes]
+
+
+def enumerate_sign_states(modes: int) -> list[tuple[int, ...]]:
+    """Exhaustively list every zero-sum vector in {+1,-1}^M, first entry +1.
+
+    Scans all 2^(M-1) assignments of the remaining entries, so the result is
+    an independent check of :func:`count_pi_phase_dark`.
+    """
     out = []
-    rest = modes - 1
-    for mask in range(1 << rest):
-        # Component sum is 1 + (rest - k) - k with k minus-signs among the rest.
-        if modes - 2 * mask.bit_count() != 0:
-            continue
-        signs = (1,) + tuple(-1 if mask >> b & 1 else 1 for b in range(rest))
-        out.append(signs)
+    for masks in _balanced_masks(modes):
+        signs = np.ones((masks.size, modes), dtype=np.int64)
+        signs[:, 1:] -= 2 * (masks[:, None] >> np.arange(modes - 1, dtype=np.uint32) & 1)
+        out.extend(map(tuple, signs.tolist()))
     return out
 
 
@@ -105,7 +115,7 @@ def dark_census(modes: int, enumerate_states: bool = False) -> DarkCensus:
     if modes > COUNT_MAX_MODES:
         raise ResourceLimitError(f"{modes} modes exceed the {COUNT_MAX_MODES}-mode census bound")
     analytic = count_pi_phase_dark(modes) if modes % 2 == 0 and modes >= 2 else None
-    enumerated = len(enumerate_sign_states(modes)) if enumerate_states else None
+    enumerated = sum(m.size for m in _balanced_masks(modes)) if enumerate_states else None
     if analytic is not None and enumerated is not None and analytic != enumerated:
         raise AssertionError(
             f"closed form {analytic} disagrees with enumeration {enumerated}"

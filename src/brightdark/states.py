@@ -132,11 +132,10 @@ def coherent_state(spec: CoherentSpec) -> StateVector:
 def _two_mode_sum(n_photons: int, phi_tilde: float, signs: bool) -> StateVector:
     if n_photons < 0:
         raise ValueError(f"photon number must be non-negative, got {n_photons}")
-    scale = math.sqrt(math.factorial(n_photons) / 2.0**n_photons)
     terms = {}
     for n in range(n_photons + 1):
-        amp = scale * cmath.exp(1j * n * phi_tilde)
-        amp /= math.sqrt(math.factorial(n) * math.factorial(n_photons - n))
+        # N! / (2^N n! (N-n)!) as one exact integer ratio: no factorial leaves the float range.
+        amp = math.sqrt(math.comb(n_photons, n) / 2**n_photons) * cmath.exp(1j * n * phi_tilde)
         if signs and n % 2:
             amp = -amp
         terms[(n, n_photons - n)] = amp
@@ -175,10 +174,12 @@ def coherent_bright_dark_expansion(
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     a = complex(alpha)
-    out = []
-    coeff = complex(math.exp(-abs(a) ** 2))
-    out.append(coeff)
-    for n in range(1, n_max + 1):
-        coeff *= a * math.sqrt(2.0 / n)
-        out.append(coeff)
-    return out
+    r = math.hypot(a.real, a.imag)  # inf past the float range, where abs(a) raises
+    if r == 0.0 or r * r == math.inf:  # the vacuum; or weights that peak near N = 2r^2
+        return [complex(r == 0.0)] + [0j] * n_max
+    # In log space: exp(-r^2) and (sqrt(2) r)^N leave the float range long before their product.
+    log_step = math.log(r) + 0.5 * math.log(2.0)
+    return [
+        cmath.rect(math.exp(n * log_step - r * r - 0.5 * math.lgamma(n + 1)), n * cmath.phase(a))
+        for n in range(n_max + 1)
+    ]

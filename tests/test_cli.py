@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from test_properties import _oracle_round_sig, _oracle_series_to_csv
 
+from brightdark import cli
 from brightdark.classify import SCAN_MAX_POINTS, classify_fock
-from brightdark.cli import main
-from brightdark.counting import COUNT_MAX_MODES
+from brightdark.cli import build_parser, main
+from brightdark.counting import COUNT_MAX_MODES, ENUMERATION_MAX_MODES
 from brightdark.fock import ModePhases
 from brightdark.pulses import (
     SERIES_MAX_SAMPLES,
@@ -286,6 +287,44 @@ def test_count_dark_mode_bound(capsys, m, code):
         assert json.loads(out)["results"]["pi_phase_count"] == math.comb(m, m // 2) // 2
     else:
         assert out == ""
+
+
+@pytest.mark.parametrize("m, code", [(ENUMERATION_MAX_MODES, 0), (ENUMERATION_MAX_MODES + 1, 3)])
+def test_count_dark_enumeration_bound(capsys, m, code):
+    assert main(["count-dark", "--m", str(m), "--enumerate"]) == code
+    out = capsys.readouterr().out
+    if code == 0:  # all 2^23 sign masks tallied
+        assert json.loads(out)["results"]["enumerated_count"] == 1352078
+    else:
+        assert out == ""
+
+
+def _session(capsys):
+    """Exit code, stdout and stderr of a valid call, an argparse rejection, a
+    resource-limit exit and the valid call again, all in one process."""
+    argvs = [
+        ["classify", "--m", "4", "--phase-frac", "1/4"],
+        ["count-dark"],
+        ["count-dark", "--m", str(ENUMERATION_MAX_MODES + 1), "--enumerate"],
+        ["classify", "--m", "4", "--phase-frac", "1/4"],
+    ]
+    runs = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+def test_parser_reuse_matches_a_fresh_parser(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    cached = _session(capsys)
+    assert [run[0] for run in cached] == [0, 2, 3, 0]
+    assert cached[0] == cached[3]
+    monkeypatch.setattr(cli, "build_parser", lambda: build_parser.__wrapped__())
+    assert _session(capsys) == cached
 
 
 def test_estimate_cavity_reference(capsys):

@@ -1,5 +1,6 @@
 """Dark-state counts: closed form vs exhaustive enumeration, locked phase law."""
 
+import itertools
 import math
 
 import pytest
@@ -54,6 +55,17 @@ def test_enumeration_odd_is_empty():
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12, 14, 16])
 def test_enumeration_matches_closed_form(m):
     assert len(enumerate_sign_states(m)) == count_pi_phase_dark(m)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_enumeration_matches_product_oracle(m):
+    # Entry 1 is the lowest mask bit, so it varies fastest: product's last slot.
+    want = [
+        (1,) + rest[::-1]
+        for rest in itertools.product((1, -1), repeat=m - 1)
+        if 1 + sum(rest) == 0
+    ]
+    assert enumerate_sign_states(m) == want
 
 
 def test_enumeration_resource_bound():

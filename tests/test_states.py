@@ -239,6 +239,14 @@ def test_expansion_rejects_bad_branch():
         coherent_bright_dark_expansion(0.3, 4, "grey")
 
 
+def test_expansion_matches_bright_projections_tightly():
+    # The closed form against the Fock-space projection agrees to a few ulp.
+    coeffs = coherent_bright_dark_expansion(0.7, 5, "bright")
+    aligned = coherent_state(CoherentSpec(0.7, ModePhases.zero(2)))
+    for n in range(6):
+        assert abs(inner_product(two_mode_bright(n), aligned) - coeffs[n]) <= 1e-15
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.8j])
 def test_expansion_matches_projections(alpha):
     """Projection oracle: coefficients equal overlaps with the tensor product.
@@ -272,6 +280,25 @@ def test_expansion_total_weight_is_unit():
     alpha = 0.8
     coeffs = coherent_bright_dark_expansion(alpha, 40, "bright")
     assert sum(abs(c) ** 2 for c in coeffs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_expansion_weight_survives_an_underflowing_prefactor():
+    # At alpha 30, e^{-|a|^2} alone underflows; its product with alpha^N does not.
+    coeffs = coherent_bright_dark_expansion(30.0, 4000, "bright")
+    assert sum(abs(c) ** 2 for c in coeffs) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e200, -2e154j, 1.7e308, complex(1.7e308, -1.7e308)])
+def test_expansion_with_huge_alpha_underflows_to_zero(alpha):
+    # |alpha|^2 is past the float range; every weight is below the smallest float.
+    assert coherent_bright_dark_expansion(alpha, 3, "dark") == [0j] * 4
+
+
+@pytest.mark.parametrize("n", [171, 200, 1000])
+def test_two_mode_ladder_past_the_factorial_range(n):
+    for state in (two_mode_bright(n, 0.3), two_mode_dark(n, 0.3)):
+        assert np.all(np.isfinite(state._amp))
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_spec_invalid_cutoff_prob():
