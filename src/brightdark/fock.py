@@ -1,15 +1,15 @@
 """Sparse truncated Fock space for M bosonic modes.
 
 A state is stored as an occupation matrix (one row ``(n_0, ..., n_{M-1})``
-per term) and an amplitude vector; only nonzero terms are kept, and the map
-from occupation tuples to amplitudes is a read-only view built on demand.
-Ladder operators, tensor products and the detection-point field operator
-``E = sum_m exp(i*theta_m) a_m`` (``a_m`` the annihilation operator of mode
-``m``) run on the arrays.  The field operator indexes occupations by their
-rank in the combinatorial number system.  Ranks are exact in int64 while
-``C(top + M, M) < 2**63`` (``top`` the highest occupied sector), and the
-rank table has ``(M + 1) * (top + 1)`` cells; past either bound
-(``RANK_LIMIT``, ``RANK_TABLE_MAX``) the field operator raises
+per term) and an amplitude vector; only nonzero terms are kept.  Lookups
+match a row, inner products pair the sorted rows of two states, and ladder
+operators, tensor products and the detection-point field operator
+``E = sum_m exp(i*theta_m) a_m`` (``a_m`` lowers mode ``m``) index the
+arrays; ``terms`` is a read-only tuple-keyed view for outside callers.
+The field operator ranks occupations in the combinatorial number system.
+Ranks are exact in int64 while ``C(top + M, M) < 2**63`` (``top`` the
+highest occupied sector), and the rank table has ``(M + 1) * (top + 1)``
+cells; past either bound (``RANK_LIMIT``, ``RANK_TABLE_MAX``) it raises
 ResourceLimitError before allocating.
 """
 
@@ -164,7 +164,10 @@ class StateVector:
         return self._top
 
     def amplitude(self, occ: tuple[int, ...]) -> complex:
-        return self.terms.get(tuple(occ), 0.0 + 0.0j)
+        row = np.asarray(occ)
+        if row.shape != (self.modes,):
+            raise _length_error(occ, self.modes)
+        return complex(self._amp[(self._occ == row).all(axis=1)].sum())  # rows are distinct
 
 
 def _length_error(occ, modes: int) -> DimensionMismatchError:
@@ -175,7 +178,7 @@ def _length_error(occ, modes: int) -> DimensionMismatchError:
 
 
 def vacuum(modes: int, cutoff: int = 0) -> StateVector:
-    return StateVector(modes, {(0,) * modes: 1.0 + 0.0j}, cutoff)
+    return StateVector._from_arrays(modes, np.array([(0,) * modes]), np.ones(1, complex), cutoff)
 
 
 def _check_mode(state: StateVector, mode: int) -> None:
@@ -313,12 +316,12 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
         raise DimensionMismatchError(
             f"inner product between {a.modes}- and {b.modes}-mode states"
         )
-    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    total = 0.0 + 0.0j
-    for occ in small:
-        if occ in large:
-            total += a.terms[occ].conjugate() * b.terms[occ]
-    return total
+    # Rows are distinct in each state, so equal sorted neighbours are one row of a, one of b.
+    occ = np.vstack([a._occ, b._occ])
+    order = np.lexsort(occ.T)
+    occ, amp = occ[order], np.concatenate([a._amp.conj(), b._amp])[order]
+    pair = (occ[1:] == occ[:-1]).all(axis=1)
+    return complex((amp[:-1][pair] * amp[1:][pair]).sum())
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -43,6 +43,9 @@ class LaserField:
     def __post_init__(self):
         if self.n_side < 1:
             raise ValueError(f"n_side must be >= 1, got {self.n_side}")
+        for name in ("e0", "delta_omega", "phi", "omega0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_omega <= 0:
             raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
 

@@ -43,8 +43,8 @@ class CoherentSpec:
 
     @property
     def mean_total_photons(self) -> float:
-        a = abs(self.alpha)  # a * a is inf past the float range, where a ** 2 raises
-        return self.phases.modes * (a * a)
+        r = math.hypot(self.alpha.real, self.alpha.imag)  # inf where abs(alpha) overflows
+        return self.phases.modes * (r * r)
 
     def required_cutoff(self) -> int:
         """Smallest N with Poisson tail P(total > N) below cutoff_prob."""
@@ -123,23 +123,24 @@ def coherent_state(spec: CoherentSpec) -> StateVector:
     per_mode = np.cumprod(steps, axis=1)
 
     occ = _stars_and_bars(modes, n_max)
-    amp = per_mode[0, occ[:, 0]] * math.exp(-modes * abs(spec.alpha) ** 2 / 2.0)
+    amp = per_mode[0, occ[:, 0]] * math.exp(-spec.mean_total_photons / 2.0)
     for m in range(1, modes):
         amp *= per_mode[m, occ[:, m]]
     return StateVector._from_arrays(modes, occ, amp, n_max)
 
 
-def _two_mode_sum(n_photons: int, phi_tilde: float, signs: bool) -> StateVector:
+def _two_mode_sum(n_photons: int, phi_tilde: float, dark: bool) -> StateVector:
     if n_photons < 0:
         raise ValueError(f"photon number must be non-negative, got {n_photons}")
-    terms = {}
-    for n in range(n_photons + 1):
-        # N! / (2^N n! (N-n)!) as one exact integer ratio: no factorial leaves the float range.
-        amp = math.sqrt(math.comb(n_photons, n) / 2**n_photons) * cmath.exp(1j * n * phi_tilde)
-        if signs and n % 2:
-            amp = -amp
-        terms[(n, n_photons - n)] = amp
-    return StateVector(2, terms, cutoff=n_photons)
+    # N! / (2^N n! (N-n)!) as one exact integer ratio: no factorial leaves the float range.
+    ratio = [math.comb(n_photons, k) / 2**n_photons for k in range(n_photons + 1)]
+    n = np.arange(n_photons + 1)
+    amp = np.sqrt(ratio) * np.exp(1j * n * phi_tilde)
+    if dark:
+        amp[1::2] = -amp[1::2]
+    else:
+        amp = cmath.exp(-1j * n_photons * phi_tilde) * amp
+    return StateVector._from_arrays(2, np.column_stack([n, n_photons - n]), amp, n_photons)
 
 
 def two_mode_bright(n_photons: int, phi_tilde: float = 0.0) -> StateVector:
@@ -147,16 +148,14 @@ def two_mode_bright(n_photons: int, phi_tilde: float = 0.0) -> StateVector:
 
     ``exp(-i*N*phi) * sqrt(N!/2^N) * sum_n exp(i*n*phi) / sqrt(n!(N-n)!) |n, N-n>``.
     """
-    state = _two_mode_sum(n_photons, phi_tilde, signs=False)
-    global_phase = cmath.exp(-1j * n_photons * phi_tilde)
-    return StateVector._from_arrays(2, state._occ, global_phase * state._amp, n_photons)
+    return _two_mode_sum(n_photons, phi_tilde, dark=False)
 
 
 def two_mode_dark(n_photons: int, phi_tilde: float = 0.0) -> StateVector:
     """N-photon two-mode state annihilated by the field operator when the
     detection phase difference equals ``phi_tilde``; alternating-sign partner
     of :func:`two_mode_bright`."""
-    return _two_mode_sum(n_photons, phi_tilde, signs=True)
+    return _two_mode_sum(n_photons, phi_tilde, dark=True)
 
 
 def coherent_bright_dark_expansion(

@@ -62,6 +62,17 @@ def test_pulse_train_rejects_zero_side_modes(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--unlocked"]])
+@pytest.mark.parametrize("flag", ["--e0", "--delta-omega", "--phi"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_pulse_train_non_finite_field_exits_2(capsys, extra, flag, bad):
+    # A NaN field would print NaN tokens, which are not JSON.
+    assert main(["pulse-train", "--n-side", "5", "--format", "json", f"{flag}={bad}"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag[2:].replace('-', '_')} must be finite" in captured.err
+
+
 def test_pulse_train_unlocked_deterministic(capsys):
     argv = [
         "pulse-train", "--n-side", "4", "--samples", "64",

@@ -1,11 +1,13 @@
 """Ladder operators, the field operator, and inner products on sparse states."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from brightdark.classify import classify_fock
+from brightdark.classify import Label, classify_fock
+from brightdark.collective import build_basis, from_collective, to_collective
 from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from brightdark.fock import (
     ModePhases,
@@ -17,7 +19,13 @@ from brightdark.fock import (
     tensor,
     vacuum,
 )
-from brightdark.states import single_photon_state
+from brightdark.states import (
+    CoherentSpec,
+    coherent_state,
+    single_photon_state,
+    two_mode_bright,
+    two_mode_dark,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -193,6 +201,32 @@ def test_terms_view_is_read_only():
         state.modes = 3
     assert state.amplitude((1, 0)) == 0.6
     assert state.norm() == pytest.approx(1.0)
+
+
+def test_library_reads_no_terms_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("library code read StateVector.terms")
+
+    monkeypatch.setattr(StateVector, "terms", property(refuse))
+    phases = ModePhases.locked(3, 0.4)
+    photon = single_photon_state(phases)
+    pair = StateVector(2, {(1, 0): 0.6, (0, 1): 0.8}, 1)
+    assert inner_product(photon, photon) == pytest.approx(1.0)
+    assert photon.amplitude((0, 1, 0)) == pytest.approx(cmath.exp(-0.4j) / math.sqrt(3))
+    assert apply_field(photon, phases).amplitude((0, 0, 0)) == pytest.approx(math.sqrt(3))
+    assert annihilate(pair, 0).amplitude((0, 0)) == pytest.approx(0.6)
+    assert create(pair, 1).is_zero()
+    assert tensor(pair, pair).amplitude((1, 0, 0, 1)) == pytest.approx(0.48)
+    assert inner_product(vacuum(2), vacuum(2)) == 1.0
+    assert classify_fock(photon, phases).label is Label.BRIGHT
+    bright, dark = two_mode_bright(4, 0.3), two_mode_dark(4, 0.3)
+    assert inner_product(bright, dark) == pytest.approx(0.0, abs=1e-12)
+    assert classify_fock(dark, ModePhases(2, (0.0, 0.3))).beta == pytest.approx(0.0, abs=1e-12)
+    coherent = coherent_state(CoherentSpec(0.3, ModePhases.zero(2)))
+    assert inner_product(coherent, coherent) == pytest.approx(1.0, abs=1e-12)
+    basis = build_basis(3, "dft")
+    back = from_collective(to_collective(photon, basis, phases), basis, phases)
+    assert inner_product(back, photon) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from brightdark.classify import classify_fock
 from brightdark.cli import _round_sig
 from brightdark.collective import build_basis, from_collective, to_collective
-from brightdark.errors import DegenerateInputError
+from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from brightdark.fock import (
     PRUNE_THRESHOLD,
     ModePhases,
@@ -174,6 +174,16 @@ def _oracle_tensor(a, b):
     return _pruned(out)
 
 
+def _oracle_inner_product(a, b):
+    """<a|b> by the dict loop it replaced: the smaller state's terms looked up in the larger."""
+    small, large = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+    total = 0.0 + 0.0j
+    for occ in small:
+        if occ in large:
+            total += a.terms[occ].conjugate() * b.terms[occ]
+    return total
+
+
 def _assert_terms_close(got, want):
     for occ in set(got) | set(want):
         assert got.get(occ, 0.0) == pytest.approx(want.get(occ, 0.0), abs=1e-12)
@@ -197,8 +207,9 @@ tiny = st.floats(min_value=1e-16, max_value=1e-14)
 
 
 @st.composite
-def fock_states(draw):
-    modes = draw(st.integers(min_value=1, max_value=6))
+def fock_states(draw, modes=None):
+    if modes is None:
+        modes = draw(st.integers(min_value=1, max_value=6))
     cutoff = draw(st.integers(min_value=0, max_value=5))
     terms = draw(
         st.dictionaries(_occupations(modes, cutoff), st.one_of(amplitudes, tiny), max_size=12)
@@ -226,6 +237,40 @@ def test_ladder_and_tensor_match_dict_oracles(case, other, data):
     _assert_terms_close(tensor(state, other).terms, _oracle_tensor(state, other))
 
 
+@settings(max_examples=100)
+@given(fock_states(), st.data())
+def test_inner_product_and_lookup_match_dict_oracles(case, data):
+    # The two draws share a mode count; their supports overlap, are disjoint
+    # or are empty as the draws fall.
+    state = case[0]
+    other = data.draw(fock_states(modes=state.modes))[0]
+    for a, b in [(state, other), (other, state), (state, state)]:
+        scale = max(a.norm() * b.norm(), 1.0)
+        assert abs(inner_product(a, b) - _oracle_inner_product(a, b)) <= 1e-12 * scale
+    for occ, amp in state.terms.items():
+        assert state.amplitude(occ) == amp
+    absent = (state.cutoff + 1,) + (0,) * (state.modes - 1)
+    drawn = data.draw(_occupations(state.modes, state.cutoff))
+    assert state.amplitude(absent) == 0.0
+    assert state.amplitude(drawn) == state.terms.get(drawn, 0.0)
+    for wrong in [drawn + (0,), drawn[:-1], (0,) * (state.modes + 1)]:
+        with pytest.raises(DimensionMismatchError):
+            state.amplitude(wrong)
+
+
+def test_inner_product_needs_no_rank_index():
+    # 64 modes up to 40 photons: C(104, 64) is past the field operator's rank
+    # bound, but matching rows needs no rank.
+    modes, top = 64, 40
+    rows = [(top,) + (0,) * (modes - 1), (1,) * top + (0,) * (modes - top)]
+    rows.append((0,) * (modes - 2) + (20, 20))
+    psi = StateVector(modes, dict(zip(rows, [0.6, 0.8j, 0.0])), cutoff=top)
+    with pytest.raises(ResourceLimitError):
+        apply_field(psi, ModePhases.zero(modes))
+    assert inner_product(psi, psi) == pytest.approx(1.0, abs=1e-15)
+    assert inner_product(psi, StateVector(modes, {rows[2]: 1.0}, top)) == 0.0
+
+
 def _oracle_two_mode_bright(n_photons, phi):
     """The closed form in the docstring of two_mode_bright, term by term."""
     scale = cmath.exp(-1j * n_photons * phi) * math.sqrt(math.factorial(n_photons) / 2.0**n_photons)
@@ -236,10 +281,32 @@ def _oracle_two_mode_bright(n_photons, phi):
     return _pruned(out)
 
 
-@given(st.integers(min_value=0, max_value=12), finite_phases)
+def _oracle_two_mode_sum(n_photons, phi, dark):
+    """The per-term dict builder the array ladder replaced, bright phase included."""
+    terms = {}
+    for n in range(n_photons + 1):
+        amp = math.sqrt(math.comb(n_photons, n) / 2**n_photons) * cmath.exp(1j * n * phi)
+        if dark and n % 2:
+            amp = -amp
+        terms[(n, n_photons - n)] = amp
+    state = StateVector(2, terms, cutoff=n_photons)
+    if dark:
+        return state
+    global_phase = cmath.exp(-1j * n_photons * phi)
+    return StateVector._from_arrays(2, state._occ, global_phase * state._amp, n_photons)
+
+
+@given(
+    st.one_of(st.integers(min_value=0, max_value=60), st.sampled_from([171, 200])),
+    finite_phases,
+)
 def test_two_mode_bright_matches_closed_form(n_photons, phi):
-    got = two_mode_bright(n_photons, phi).terms
-    _assert_terms_close(got, _oracle_two_mode_bright(n_photons, phi))
+    bright = two_mode_bright(n_photons, phi)
+    for got, dark in [(bright, False), (two_mode_dark(n_photons, phi), True)]:
+        want = _oracle_two_mode_sum(n_photons, phi, dark)
+        assert np.array_equal(got._occ, want._occ) and np.array_equal(got._amp, want._amp)
+    if n_photons <= 60:  # the factorials below leave the float range from N = 171
+        _assert_terms_close(bright.terms, _oracle_two_mode_bright(n_photons, phi))
 
 
 @settings(max_examples=100)

@@ -85,6 +85,13 @@ def test_rejects_single_mode():
         LaserField(n_side=0)
 
 
+@pytest.mark.parametrize("name", ["e0", "delta_omega", "phi", "omega0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_field_refuses_non_finite_parameters(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LaserField(n_side=2, **{name: bad})
+
+
 def test_series_peak_and_grid():
     field = LaserField(n_side=5, e0=2.0)
     series = intensity_series(field, samples_per_period=256, periods=2)

@@ -123,9 +123,11 @@ def test_coherent_build_past_term_bound_is_refused():
 
 
 def test_coherent_build_with_huge_alpha_is_refused():
-    # |alpha|**2 overflows a float; the cutoff guard refuses it, no OverflowError.
-    with pytest.raises(ResourceLimitError):
-        coherent_state(CoherentSpec(1e200, ModePhases.zero(3)))
+    # |alpha|**2, or |alpha| itself, overflows a float; the cutoff guard
+    # refuses it, no OverflowError.
+    for alpha in [1e200, complex(1.7e308, 1.7e308)]:
+        with pytest.raises(ResourceLimitError):
+            coherent_state(CoherentSpec(alpha, ModePhases.zero(3)))
 
 
 def test_coherent_pairwise_factorization_at_pi():
