@@ -3,6 +3,8 @@
 Every command prints a JSON document ``{"command", "params", "results"}``
 (the pulse-train command can emit CSV instead); numbers are rounded to 12
 significant digits so identical invocations produce byte-identical output.
+A document is written in chunks as it is formatted, and ``--output`` replaces
+its target only once the whole document is written.
 
 Exit codes: 0 success, 2 validation error, 3 resource limit, 4 internal error.
 A reader that closes standard output early (``brightdark ... | head``) is not
@@ -17,8 +19,12 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
+from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +33,11 @@ from .classify import _classify_locked, scan_phase
 from .counting import dark_census, locked_dark_phases
 from .errors import DegenerateInputError, ResourceLimitError
 from .pulses import (
+    FORMAT_CHUNK,
     LaserField,
-    _format_rows,
+    _csv_chunks,
     intensity_series,
     pulse_metrics,
-    series_to_csv,
     unlocked_intensity,
 )
 
@@ -48,7 +54,20 @@ EXIT_INTERNAL = 4
 CLI_TOL = 1e-6
 
 
-def _round_sig(value):
+# argparse reads an argument that starts with "-" as an option unless it matches
+# its negative-number pattern, which knows only "-5" and "-.5"; these values
+# (exponents, infinities, --phase-frac fractions) would be refused as options.
+_NEGATIVE_VALUE = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|\d+/\d+|inf|infinity|nan)$", re.IGNORECASE
+)
+
+
+def _round_sig(value, tables: list | None = None):
+    """``value`` with every number rounded to 12 significant digits.
+
+    Given a ``tables`` list, every 1-D float array and _Records is appended
+    to it instead and replaced by its hole, the string "\\0<index>\\0".
+    """
     if isinstance(value, bool):
         return value
     if isinstance(value, numbers.Integral):
@@ -56,31 +75,153 @@ def _round_sig(value):
     if isinstance(value, numbers.Real):
         return float(f"{float(value):.12g}")
     if isinstance(value, dict):
-        return {k: _round_sig(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 1:
-        return [float(s) for chunk in _format_rows(value) for s in chunk.split()]
+        return {k: _round_sig(v, tables) for k, v in value.items()}
+    if tables is not None and (
+        isinstance(value, _Records)
+        or (isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 1)
+    ):
+        tables.append(value)
+        return f"\0{len(tables) - 1}\0"
     if isinstance(value, (list, tuple, np.ndarray)):
-        return [_round_sig(v) for v in value]
+        return [_round_sig(v, tables) for v in value]
     return value
 
 
-def _write_output(text: str, output: str | None) -> None:
+class _Records(NamedTuple):
+    """A JSON list of objects with the same keys: ``columns`` (float ndarrays or
+    lists of str) give one value per object, ``constants`` one value for all."""
+
+    columns: dict
+    constants: dict
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x: float) -> str:
+    """The JSON text of x rounded to 12 significant digits, as json.dumps writes it."""
+    text = repr(float(f"{x:.12g}"))
+    return _NON_FINITE.get(text, text)
+
+
+def _odd_rows(column: np.ndarray) -> np.ndarray:
+    """A superset of the entries whose JSON number is not their '%.12g' text.
+
+    For a finite, normal x whose rounding y is not an integer, repr(y) has the
+    digits of '%.12g' and, as |y| < 1e12, the same notation.  The rest are
+    NaN, infinities, subnormals (whose repr can be shorter) and integers
+    (repr adds '.0'); an integer y is within 5e-12*|x| of x.
+    """
+    magnitude = np.abs(column)
+    with np.errstate(invalid="ignore"):  # inf - inf; NaN and inf rows are odd anyway
+        off_integer = np.abs(column - np.rint(column)) > 1e-11 * magnitude
+    return ~off_integer | (magnitude < 2.3e-308)
+
+
+def _table_chunks(table, indent: int) -> Iterator[str]:
+    """The indent=2 JSON text of a 1-D float array or of _Records whose line
+    starts ``indent`` spaces in, FORMAT_CHUNK rows per %-template.
+
+    Every row is one template of literals and cells: a float cell is '%.12g'
+    unless _odd_rows flags its row, which is written from exact per-cell text.
+    """
+    pad = "\n" + " " * (indent + 2)
+    if isinstance(table, np.ndarray):
+        lits, columns = [pad, ","], [table]
+    else:
+        lits, columns, text = [], [], pad + "{"
+        fields = table.columns | table.constants
+        for n, key in enumerate(sorted(fields)):
+            text += ("," if n else "") + pad + "  " + json.dumps(key) + ": "
+            if key in table.columns:
+                lits.append(text)
+                column = table.columns[key]
+                if not isinstance(column, np.ndarray):
+                    quoted = {v: json.dumps(v) for v in set(column)}
+                    column = [quoted[v] for v in column]
+                columns.append(column)
+                text = ""
+            else:
+                text += json.dumps(_round_sig(fields[key]))
+        lits.append(text + pad + "},")
+    lits = [lit.replace("%", "%%") for lit in lits]
+    rows, width = len(columns[0]), len(columns)
+    if rows == 0:
+        yield "[]"
+        return
+    floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray)]
+    specs = ["%.12g" if j in floats else "%s" for j in range(width)]
+    plain = "".join(lit + spec for lit, spec in zip(lits, specs)) + lits[-1]
+    exact = "%s".join(lits)
+    yield "["
+    for lo in range(0, rows, FORMAT_CHUNK):
+        hi = min(lo + FORMAT_CHUNK, rows)
+        values = [None] * ((hi - lo) * width)
+        for j, column in enumerate(columns):
+            values[j::width] = column[lo:hi].tolist() if j in floats else column[lo:hi]
+        odd = np.zeros(hi - lo, dtype=bool)
+        for j in floats:
+            odd |= _odd_rows(columns[j][lo:hi])
+        if odd.any():
+            template = [plain] * (hi - lo)
+            for r in np.flatnonzero(odd).tolist():
+                template[r] = exact
+                for j in floats:
+                    values[r * width + j] = _json_number(values[r * width + j])
+            template = "".join(template)
+        else:
+            template = plain * (hi - lo)
+        text = template % tuple(values)
+        yield text[:-1] if hi == rows else text  # no comma after the last row
+    yield "\n" + " " * indent + "]"
+
+
+# json.dumps writes a table's hole as below.
+_HOLE = re.compile(r'"\\u0000(\d+)\\u0000"')
+
+
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """``json.dumps(_round_sig(doc), sort_keys=True, indent=2)``, in chunks.
+
+    The standard library writes the skeleton, and every table that
+    _round_sig moves out of it is spliced in from _table_chunks.
+    """
+    tables = []
+    skeleton = json.dumps(_round_sig(doc, tables), sort_keys=True, indent=2)
+    pieces = _HOLE.split(skeleton)
+    for n in range(1, len(pieces), 2):
+        before = pieces[n - 1]
+        yield before
+        line = before.rpartition("\n")[2]
+        yield from _table_chunks(tables[int(pieces[n])], len(line) - len(line.lstrip(" ")))
+    yield pieces[-1]
+
+
+def _write_chunks(chunks, output: str | None) -> None:
+    """Write text chunks to stdout, or to ``output`` through a temporary file
+    beside it that replaces it only once every chunk is written."""
     if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(chunks)
         return
     path = Path(output)
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir and not path.is_absolute():
         path = Path(out_dir) / path
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w") as f:
+            f.writelines(chunks)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _emit_json(command: str, params: dict, results: dict, output: str | None) -> None:
-    doc = {"command": command, "params": _round_sig(params), "results": _round_sig(results)}
-    _write_output(json.dumps(doc, sort_keys=True, indent=2), output)
+    chunks = _json_chunks({"command": command, "params": params, "results": results})
+    # A document on stdout ends its line; a file holds the document alone.
+    _write_chunks(chain(chunks, ["\n"]) if output is None else chunks, output)
 
 
 def _parse_phase(args, parser: argparse.ArgumentParser) -> float:
@@ -133,9 +274,8 @@ def cmd_pulse_train(args, parser) -> int:
             "peak": pm.peak,
         }
     if args.format == "csv":
-        text = series_to_csv(series)
-        text += "".join(f"# {k}={_round_sig(v)}\n" for k, v in sorted(metrics.items()))
-        _write_output(text, args.output)
+        footer = "".join(f"# {k}={_round_sig(v)}\n" for k, v in sorted(metrics.items()))
+        _write_chunks(chain(_csv_chunks(series), [footer]), args.output)
     else:
         params = _params(args, "format", "seed")
         if args.unlocked:
@@ -205,12 +345,13 @@ def cmd_estimate_cavity(args, parser) -> int:
 
 def cmd_scan_phase(args, parser) -> int:
     family = args.family.replace("-", "_")
-    scan = scan_phase(args.m, family, args.grid, args.tol)
-    labels = [r.label.value for _, r in scan]
+    phis, classes = zip(*scan_phase(args.m, family, args.grid, args.tol))
+    labels = [r.label.value for r in classes]
+    points = {"phi": np.array(phis), "beta": np.array([r.beta for r in classes]), "label": labels}
+    # beta_max and tol are the same at every point of the ladder.
+    constants = {"beta_max": classes[0].beta_max, "tol": classes[0].tol}
     results = {
-        "points": [
-            {"phi": phi, **_classification_dict(r)} for phi, r in scan
-        ],
+        "points": _Records(points, constants),
         "dark_points": labels.count("Dark"),
         "bright_points": labels.count("Bright"),
         "intermediate_points": labels.count("Intermediate"),
@@ -280,6 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_scan_phase)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

@@ -12,7 +12,6 @@ phases) keeps the mean intensity but destroys the peaks.
 
 from __future__ import annotations
 
-import io
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -218,10 +217,9 @@ def _format_rows(*columns) -> Iterator[str]:
         yield line * len(chunk) % tuple(chunk.ravel().tolist())
 
 
-def series_to_csv(series: IntensitySeries) -> str:
-    """CSV with a commented header recording the grid and field parameters."""
-    buf = io.StringIO()
-    for key in (
+def _csv_chunks(series: IntensitySeries) -> Iterator[str]:
+    """series_to_csv's text: the commented header, then _format_rows' chunks."""
+    keys = (
         "kind",
         "n_side",
         "m_total",
@@ -233,9 +231,12 @@ def series_to_csv(series: IntensitySeries) -> str:
         "resolution_ok",
         "seed",
         "warning",
-    ):
-        if key in series.metadata:
-            buf.write(f"# {key}={series.metadata[key]}\n")
-    buf.write("t_prime,intensity\n")
-    buf.writelines(_format_rows(series.t, series.intensity))
-    return buf.getvalue()
+    )
+    meta = series.metadata
+    yield "".join(f"# {k}={meta[k]}\n" for k in keys if k in meta) + "t_prime,intensity\n"
+    yield from _format_rows(series.t, series.intensity)
+
+
+def series_to_csv(series: IntensitySeries) -> str:
+    """CSV with a commented header recording the grid and field parameters."""
+    return "".join(_csv_chunks(series))

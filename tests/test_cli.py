@@ -12,9 +12,15 @@ import pytest
 from test_properties import _oracle_round_sig, _oracle_series_to_csv
 
 from brightdark import cli
-from brightdark.classify import SCAN_MAX_POINTS, classify_fock
+from brightdark.cavity import CavityDesign, ratio_report
+from brightdark.classify import SCAN_MAX_POINTS, _classify_locked, classify_fock, scan_phase
 from brightdark.cli import build_parser, main
-from brightdark.counting import COUNT_MAX_MODES, ENUMERATION_MAX_MODES
+from brightdark.counting import (
+    COUNT_MAX_MODES,
+    ENUMERATION_MAX_MODES,
+    dark_census,
+    locked_dark_phases,
+)
 from brightdark.fock import ModePhases
 from brightdark.pulses import (
     SERIES_MAX_SAMPLES,
@@ -114,8 +120,13 @@ def _oracle_pulse_train(n_side, samples, periods=1, seed=None, fmt="csv"):
         "t_prime": list(series.t),
         "intensity": list(series.intensity),
     }
+    return _oracle_doc("pulse-train", params, results)
+
+
+def _oracle_doc(command, params, results):
+    """A command's document through per-element rounding and the standard library encoder."""
     doc = {
-        "command": "pulse-train",
+        "command": command,
         "params": _oracle_round_sig(params),
         "results": _oracle_round_sig(results),
     }
@@ -143,6 +154,106 @@ def test_pulse_train_bytes_match_the_per_row_oracle(capsys, fmt, n_side, samples
     assert out == _oracle_pulse_train(n_side, samples, periods, seed, fmt)
     if samples < 4 * (2 * n_side + 1) and fmt == "csv":
         assert "# warning=" in out
+
+
+def _stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _oracle_classification(result):
+    return {"beta": result.beta, "label": result.label.value,
+            "beta_max": result.beta_max, "tol": result.tol}
+
+
+@pytest.mark.parametrize("family", ["single-photon", "coherent"])
+@pytest.mark.parametrize(
+    "m, phase_arg, phase",
+    [
+        (4, ["--phase", "0.3"], 0.3),
+        (4, ["--phase", "0"], 0.0),
+        (5, ["--phase", "1e-05"], 1e-05),
+        (16, ["--phase-frac", "5/16"], 2 * math.pi * 5 / 16),
+        (7, ["--phase-frac=-3/7"], 2 * math.pi * -3 / 7),
+        (64, ["--phase-frac", "1/2"], math.pi),
+    ],
+)
+def test_classify_bytes_match_the_oracle(capsys, family, m, phase_arg, phase):
+    argv = ["classify", "--m", str(m), "--family", family, *phase_arg]
+    if family == "coherent":
+        argv += ["--alpha", "0.5+1j"]
+    params = {"m": m, "family": family, "phase": phase, "tol": cli.CLI_TOL}
+    if family == "coherent":
+        params["alpha"] = repr(0.5 + 1j)
+    (result,) = _classify_locked(m, [phase], cli.CLI_TOL)
+    assert _stdout(capsys, argv) == _oracle_doc("classify", params, _oracle_classification(result))
+
+
+@pytest.mark.parametrize(
+    "m, enumerate_",
+    [(m, False) for m in (2, 3, 6, 7, 16, 64, 65, 200)] + [(m, True) for m in (2, 3, 6, 7, 16)],
+)
+def test_count_dark_bytes_match_the_oracle(capsys, m, enumerate_):
+    census = dark_census(m, enumerate_states=enumerate_)
+    results = {
+        "pi_phase_count": census.pi_phase_count,
+        "enumerated_count": census.enumerated_count,
+        "locked_dark_count": census.locked_dark_count,
+        "bright_count": census.bright_count,
+        "ratio": census.ratio,
+    }
+    if m <= 64:
+        results["locked_dark_phases"] = locked_dark_phases(m, verify=True)
+    argv = ["count-dark", "--m", str(m)] + (["--enumerate"] if enumerate_ else [])
+    want = _oracle_doc("count-dark", {"m": m, "enumerate": enumerate_}, results)
+    assert _stdout(capsys, argv) == want
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"lambda0_nm": 780.0, "dlambda_nm": 30.0, "l_mm": 250.0, "n": 1.0,
+         "pulse_ns": 45.0, "rep_ms": 1.0},
+        {"lambda0_nm": 1550.5, "dlambda_nm": 0.125, "l_mm": 1999.0, "n": 1.45,
+         "pulse_ns": 1.5, "rep_ms": 0.01},
+    ],
+)
+def test_estimate_cavity_bytes_match_the_oracle(capsys, values):
+    argv = ["estimate-cavity"]
+    for key, value in values.items():
+        argv += [f"--{key.replace('_', '-')}", repr(value)]
+    design = CavityDesign(
+        lambda0=values["lambda0_nm"] * 1e-9,
+        dlambda_g=values["dlambda_nm"] * 1e-9,
+        length=values["l_mm"] * 1e-3,
+        n_index=values["n"],
+        pulse_duration=values["pulse_ns"] * 1e-9,
+        rep_period=values["rep_ms"] * 1e-3,
+    )
+    want = _oracle_doc("estimate-cavity", values, ratio_report(design).to_dict())
+    assert _stdout(capsys, argv) == want
+
+
+@pytest.mark.parametrize("family", ["single-photon", "coherent"])
+@pytest.mark.parametrize("tol", [None, "1e-3"])
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 16, 64])
+@pytest.mark.parametrize("per_mode", [2, 5, 8])
+def test_scan_phase_bytes_match_the_oracle(capsys, family, tol, m, per_mode):
+    grid = m * per_mode
+    argv = ["scan-phase", "--m", str(m), "--grid", str(grid), "--family", family]
+    if tol is not None:
+        argv += ["--tol", tol]
+    tol_value = 1e-10 if tol is None else float(tol)
+    scan = scan_phase(m, family.replace("-", "_"), grid, tol_value)
+    labels = [r.label.value for _, r in scan]
+    results = {
+        "points": [{"phi": phi, **_oracle_classification(r)} for phi, r in scan],
+        "dark_points": labels.count("Dark"),
+        "bright_points": labels.count("Bright"),
+        "intermediate_points": labels.count("Intermediate"),
+    }
+    params = {"m": m, "grid": grid, "family": family, "tol": tol_value}
+    assert _stdout(capsys, argv) == _oracle_doc("scan-phase", params, results)
 
 
 def test_cli_import_leaves_scipy_out():
@@ -244,6 +355,8 @@ def test_pulse_train_past_the_sample_bound_exits_3(capsys, extra):
         ["pulse-train", "--n-side", "2", "--samples", "200000"],
         # A few hundred bytes: the pipe shows closed only when stdout is flushed.
         ["classify", "--m", "4", "--phase", "0.3"],
+        # Several MB of JSON chunks: the pipe closes in the middle of the stream.
+        ["pulse-train", "--n-side", "2", "--samples", "200000", "--format", "json"],
     ],
 )
 def test_closed_stdout_exits_cleanly(argv):
@@ -414,6 +527,67 @@ def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     assert written.exists()
     doc = json.loads(written.read_text())
     assert doc["results"]["pi_phase_count"] == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch, capsys, fmt):
+    target = tmp_path / "train.out"
+    target.write_bytes(b"old bytes\n")
+    chunks = cli._json_chunks if fmt == "json" else cli._csv_chunks
+
+    def failing(*args):
+        for n, chunk in enumerate(chunks(*args)):
+            if n == 3:
+                raise ValueError("disk went away")
+            yield chunk
+
+    monkeypatch.setattr(cli, chunks.__name__, failing)
+    argv = ["pulse-train", "--n-side", "2", "--samples", "5000", "--periods", "2",
+            "--format", fmt, "--output", str(target)]
+    assert main(argv) == 2
+    assert "disk went away" in capsys.readouterr().err
+    assert target.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.out"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, fmt):
+    target = tmp_path / "sub" / "train.out"
+    target.parent.mkdir()
+    target.write_text("an older, longer document\n" * 1000)
+    argv = ["pulse-train", "--n-side", "3", "--samples", "5000", "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    # Only stdout ends a JSON document with a newline.
+    assert target.read_text() == (stdout[:-1] if fmt == "json" else stdout)
+    assert [p.name for p in target.parent.iterdir()] == ["train.out"]
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["classify", "--m", "4", "--phase"], "-2.5e-1"),
+        (["classify", "--m", "4", "--phase"], "-1E+2"),
+        (["classify", "--m", "7", "--phase-frac"], "-3/7"),
+        (["classify", "--m", "4", "--tol", "1e-3", "--phase"], "-.5e0"),
+        (["pulse-train", "--n-side", "2", "--samples", "32", "--phi"], "-1e5"),
+        (["scan-phase", "--m", "4", "--grid", "8", "--tol"], "-1e-3"),
+    ],
+)
+def test_negative_values_with_exponents_are_values(capsys, argv, value):
+    code = main(argv + [value])
+    captured = capsys.readouterr()
+    assert main(argv[:-1] + [f"{argv[-1]}={value}"]) == code
+    assert capsys.readouterr() == captured
+
+
+@pytest.mark.parametrize("bad", ["-inf", "-Infinity", "-nan"])
+def test_negative_non_finite_phi_exits_2(capsys, bad):
+    assert main(["pulse-train", "--n-side", "2", "--phi", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "phi must be finite" in captured.err
 
 
 def test_twelve_significant_digits(capsys):

@@ -9,11 +9,11 @@ import numbers
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brightdark.classify import classify_fock
-from brightdark.cli import _round_sig
+from brightdark.cli import _json_chunks, _Records, _round_sig
 from brightdark.collective import build_basis, from_collective, to_collective
 from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from brightdark.fock import (
@@ -481,3 +481,27 @@ def test_round_sig_matches_per_element_oracle(rows, values):
     got, want = _round_sig(doc), _oracle_round_sig(doc)
     assert all(type(v) is float for v in got["x"])
     assert json.dumps(got) == json.dumps(want)
+
+
+# The masks' hard cases: integers ('%.12g' drops the '.0'), non-finite values,
+# 1e12 <= |y| < 1e16 (fixed notation in repr), subnormals (shorter repr).
+_WRITER_EDGES = [
+    121.0, -0.0, 0.0, 120.99999999999999, math.nan, math.inf, -math.inf, 1e12,
+    -123456789012345.0, 9.999999999999e15, 1e16, 5e-324, -2.5e-320, 1e-05, 0.1, 1e22,
+]
+
+
+@pytest.mark.parametrize("rows", row_counts)
+@settings(max_examples=8, deadline=None)  # the pure-Python oracle takes 0.15 s at 4k rows
+@given(edge_values, edge_values)
+@example(_WRITER_EDGES, _WRITER_EDGES[::-1])
+def test_json_writer_matches_the_json_dumps_oracle(rows, x_values, y_values):
+    x, y = _tiled(x_values, rows), _tiled(y_values, rows)
+    labels = [("Dark", "Bright", 'a "100%" label')[k % 3] for k in range(rows)]
+    doc = {
+        "meta": {"x": x, "n": 3, "flag": True, "name": "100%"},
+        "points": _Records({"y": y, "label": labels}, {"c": 2.5}),
+    }
+    points = [{"y": b, "label": s, "c": 2.5} for b, s in zip(y, labels)]
+    want = json.dumps(_oracle_round_sig({**doc, "points": points}), sort_keys=True, indent=2)
+    assert "".join(_json_chunks(doc)) == want
