@@ -53,19 +53,35 @@ TI_SAPPHIRE = CavityDesign(
 )
 
 
+def _in_range(name: str, value: float) -> float:
+    """A derived quantity, refused if it overflowed or underflowed out of (0, inf)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} is {value}, out of floating-point range")
+    return value
+
+
 def free_spectral_range(design: CavityDesign) -> float:
     """Longitudinal mode spacing pi*c/(n*L) of a plane-mirror cavity, rad/s."""
-    return math.pi * SPEED_OF_LIGHT / (design.n_index * design.length)
+    spacing = math.pi * SPEED_OF_LIGHT / (design.n_index * design.length)
+    return _in_range("the mode spacing", spacing)
 
 
 def gain_bandwidth(design: CavityDesign) -> float:
     """Gain bandwidth 2*pi*c*dlambda/lambda0^2 in rad/s."""
-    return 2.0 * math.pi * SPEED_OF_LIGHT * design.dlambda_g / design.lambda0**2
+    try:
+        square = design.lambda0**2
+    except OverflowError:
+        square = math.inf
+    omega = 2.0 * math.pi * SPEED_OF_LIGHT * design.dlambda_g / _in_range("lambda0^2", square)
+    return _in_range("the gain bandwidth", omega)
 
 
 def mode_count(design: CavityDesign) -> int:
     """Modes fitting inside the gain band: floor(gain_bandwidth / spacing)."""
-    m = int(gain_bandwidth(design) // free_spectral_range(design))
+    modes = gain_bandwidth(design) // free_spectral_range(design)
+    if not math.isfinite(modes):
+        raise ConfigurationError(f"the mode count is {modes}, out of floating-point range")
+    m = int(modes)
     if m < 2:
         raise ConfigurationError(
             f"only {m} mode(s) fit the gain band; no mode-locking possible"
@@ -81,8 +97,6 @@ class RatioReport:
     theory_ratio: float
     measured_ratio: float
     orders_match: bool
-    quoted_mode_count: float = QUOTED_MODE_COUNT
-    quoted_ratio: float = QUOTED_RATIO
 
     def to_dict(self) -> dict:
         return {
@@ -92,8 +106,8 @@ class RatioReport:
             "theory_ratio": self.theory_ratio,
             "measured_ratio": self.measured_ratio,
             "orders_match": self.orders_match,
-            "quoted_M": self.quoted_mode_count,
-            "quoted_ratio": self.quoted_ratio,
+            "quoted_M": QUOTED_MODE_COUNT,
+            "quoted_ratio": QUOTED_RATIO,
         }
 
 
@@ -106,7 +120,7 @@ def ratio_report(design: CavityDesign) -> RatioReport:
         )
     m = mode_count(design)
     theory = bright_to_dark_ratio(m)
-    measured = design.pulse_duration / design.rep_period
+    measured = _in_range("the measured ratio", design.pulse_duration / design.rep_period)
     orders = abs(math.log10(theory / measured)) < 1.0
     return RatioReport(
         delta_omega=free_spectral_range(design),

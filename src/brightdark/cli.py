@@ -62,31 +62,6 @@ _NEGATIVE_VALUE = re.compile(
 )
 
 
-def _round_sig(value, tables: list | None = None):
-    """``value`` with every number rounded to 12 significant digits.
-
-    Given a ``tables`` list, every 1-D float array and _Records is appended
-    to it instead and replaced by its hole, the string "\\0<index>\\0".
-    """
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real):
-        return float(f"{float(value):.12g}")
-    if isinstance(value, dict):
-        return {k: _round_sig(v, tables) for k, v in value.items()}
-    if tables is not None and (
-        isinstance(value, _Records)
-        or (isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 1)
-    ):
-        tables.append(value)
-        return f"\0{len(tables) - 1}\0"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_round_sig(v, tables) for v in value]
-    return value
-
-
 class _Records(NamedTuple):
     """A JSON list of objects with the same keys: ``columns`` (float ndarrays or
     lists of str) give one value per object, ``constants`` one value for all."""
@@ -102,6 +77,13 @@ def _json_number(x: float) -> str:
     """The JSON text of x rounded to 12 significant digits, as json.dumps writes it."""
     text = repr(float(f"{x:.12g}"))
     return _NON_FINITE.get(text, text)
+
+
+def _json_scalar(value) -> str:
+    """A leaf's JSON text: integers exact, other reals through _json_number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return str(int(value)) if isinstance(value, numbers.Integral) else _json_number(value)
+    return json.dumps(value)
 
 
 def _odd_rows(column: np.ndarray) -> np.ndarray:
@@ -142,7 +124,7 @@ def _table_chunks(table, indent: int) -> Iterator[str]:
                 columns.append(column)
                 text = ""
             else:
-                text += json.dumps(_round_sig(fields[key]))
+                text += _json_scalar(fields[key])
         lits.append(text + pad + "},")
     lits = [lit.replace("%", "%%") for lit in lits]
     rows, width = len(columns[0]), len(columns)
@@ -176,25 +158,32 @@ def _table_chunks(table, indent: int) -> Iterator[str]:
     yield "\n" + " " * indent + "]"
 
 
-# json.dumps writes a table's hole as below.
-_HOLE = re.compile(r'"\\u0000(\d+)\\u0000"')
-
-
-def _json_chunks(doc: dict) -> Iterator[str]:
-    """``json.dumps(_round_sig(doc), sort_keys=True, indent=2)``, in chunks.
-
-    The standard library writes the skeleton, and every table that
-    _round_sig moves out of it is spliced in from _table_chunks.
-    """
-    tables = []
-    skeleton = json.dumps(_round_sig(doc, tables), sort_keys=True, indent=2)
-    pieces = _HOLE.split(skeleton)
-    for n in range(1, len(pieces), 2):
-        before = pieces[n - 1]
-        yield before
-        line = before.rpartition("\n")[2]
-        yield from _table_chunks(tables[int(pieces[n])], len(line) - len(line.lstrip(" ")))
-    yield pieces[-1]
+def _json_chunks(value, indent: int = 0) -> Iterator[str]:
+    """``json.dumps(value, sort_keys=True, indent=2)``, numbers rounded to 12 significant
+    digits, for a container ``indent`` spaces in.  1-D float arrays and _Records stream
+    from _table_chunks, and text is yielded only at their boundaries."""
+    if isinstance(value, _Records) or (
+        isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 1
+    ):
+        yield from _table_chunks(value, indent)
+        return
+    if isinstance(value, dict):
+        brackets, items = "{}", [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
+    else:
+        brackets, items = "[]", [("", v) for v in value]
+    pad, text = "\n" + " " * (indent + 2), brackets[0]
+    for head, item in items:
+        text += pad + head
+        if isinstance(item, (dict, list, tuple, np.ndarray)):
+            parts = _json_chunks(item, indent + 2)
+            text += next(parts)  # a nested value's first and last chunks join the text around it
+            for part in parts:
+                yield text
+                text = part
+        else:
+            text += _json_scalar(item)
+        text += ","
+    yield (text[:-1] + "\n" + " " * indent if items else text) + brackets[1]
 
 
 def _write_chunks(chunks, output: str | None) -> None:
@@ -260,8 +249,12 @@ def cmd_pulse_train(args, parser) -> int:
     )
     if args.unlocked:
         series = unlocked_intensity(field, args.seed, args.samples, args.periods)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            mean = float(np.mean(series.intensity))
+        if not math.isfinite(mean):
+            raise ValueError(f"the intensity sum overflows at e0={args.e0}")
         metrics = {
-            "mean_intensity": float(np.mean(series.intensity)),
+            "mean_intensity": mean,
             "max_intensity": float(np.max(series.intensity)),
         }
     else:
@@ -274,7 +267,7 @@ def cmd_pulse_train(args, parser) -> int:
             "peak": pm.peak,
         }
     if args.format == "csv":
-        footer = "".join(f"# {k}={_round_sig(v)}\n" for k, v in sorted(metrics.items()))
+        footer = "".join(f"# {k}={float(f'{v:.12g}')}\n" for k, v in sorted(metrics.items()))
         _write_chunks(chain(_csv_chunks(series), [footer]), args.output)
     else:
         params = _params(args, "format", "seed")

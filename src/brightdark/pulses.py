@@ -29,24 +29,27 @@ FORMAT_CHUNK = 4096  # rows formatted per pass; bounds the Python floats alive a
 class LaserField:
     """Symmetric mode comb m = -n_side..+n_side around a carrier.
 
-    ``omega0`` is carried as metadata only; the envelope depends on the mode
-    spacing ``delta_omega`` and the locked phase offset ``phi`` alone.
+    The envelope depends on the mode spacing ``delta_omega`` and the locked
+    phase offset ``phi`` alone; the carrier frequency drops out.
     """
 
     n_side: int
     e0: float = 1.0
     delta_omega: float = 1.0
     phi: float = 0.0
-    omega0: float = 0.0
 
     def __post_init__(self):
         if self.n_side < 1:
             raise ValueError(f"n_side must be >= 1, got {self.n_side}")
-        for name in ("e0", "delta_omega", "phi", "omega0"):
+        for name in ("e0", "delta_omega", "phi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_omega <= 0:
             raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
+        peak = self.e0 * self.m_total  # squared as a product: float ** 2 raises on overflow
+        for name, value in (("(e0*m_total)^2", peak * peak), ("2*pi/delta_omega", self.period)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} overflows: e0={self.e0}, delta_omega={self.delta_omega}")
 
     @property
     def m_total(self) -> int:
@@ -100,9 +103,11 @@ class IntensitySeries:
     metadata: dict = field(default_factory=dict)
 
 
-def _series_metadata(field_: LaserField, samples_per_period: int, periods: int) -> dict:
+def _series_metadata(field_: LaserField, samples_per_period: int, periods: int, kind, seed) -> dict:
+    """The series' parameters, in the order of the CSV header."""
     resolution_ok = samples_per_period >= 4 * field_.m_total
     meta = {
+        "kind": kind,
         "n_side": field_.n_side,
         "m_total": field_.m_total,
         "e0": field_.e0,
@@ -112,6 +117,8 @@ def _series_metadata(field_: LaserField, samples_per_period: int, periods: int) 
         "periods": periods,
         "resolution_ok": resolution_ok,
     }
+    if seed is not None:
+        meta["seed"] = seed
     if not resolution_ok:
         meta["warning"] = (
             f"samples_per_period={samples_per_period} under-resolves the main "
@@ -131,6 +138,8 @@ def _time_grid(field_: LaserField, samples_per_period: int, periods: int) -> np.
             f"{samples_per_period} samples x {periods} periods exceed "
             f"{SERIES_MAX_SAMPLES} samples"
         )
+    if not math.isfinite(field_.period * periods):
+        raise ValueError(f"{periods} periods of {field_.period} overflow the time grid")
     return np.arange(count) * (field_.period / samples_per_period)
 
 
@@ -140,8 +149,7 @@ def intensity_series(
     """Locked-phase intensity A(t)^2 on a uniform grid."""
     t = _time_grid(field_, samples_per_period, periods)
     amp = amplitude_closed(field_, t)
-    meta = _series_metadata(field_, samples_per_period, periods)
-    meta["kind"] = "locked"
+    meta = _series_metadata(field_, samples_per_period, periods, "locked", None)
     return IntensitySeries(t, amp**2, meta)
 
 
@@ -159,9 +167,7 @@ def unlocked_intensity(
     m = np.arange(-field_.n_side, field_.n_side + 1)
     np.add.at(bins, m % samples_per_period, np.exp(1j * mode_phases))
     amp = field_.e0 * samples_per_period * np.fft.ifft(bins)
-    meta = _series_metadata(field_, samples_per_period, periods)
-    meta["kind"] = "unlocked"
-    meta["seed"] = seed
+    meta = _series_metadata(field_, samples_per_period, periods, "unlocked", seed)
     return IntensitySeries(t, np.tile(np.abs(amp) ** 2, periods), meta)
 
 
@@ -218,22 +224,8 @@ def _format_rows(*columns) -> Iterator[str]:
 
 
 def _csv_chunks(series: IntensitySeries) -> Iterator[str]:
-    """series_to_csv's text: the commented header, then _format_rows' chunks."""
-    keys = (
-        "kind",
-        "n_side",
-        "m_total",
-        "e0",
-        "delta_omega",
-        "phi",
-        "samples_per_period",
-        "periods",
-        "resolution_ok",
-        "seed",
-        "warning",
-    )
-    meta = series.metadata
-    yield "".join(f"# {k}={meta[k]}\n" for k in keys if k in meta) + "t_prime,intensity\n"
+    """series_to_csv's text: a comment line per metadata item, in order, then _format_rows'."""
+    yield "".join(f"# {k}={v}\n" for k, v in series.metadata.items()) + "t_prime,intensity\n"
     yield from _format_rows(series.t, series.intensity)
 
 

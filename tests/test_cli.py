@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from test_properties import _oracle_round_sig, _oracle_series_to_csv
 
 from brightdark import cli
@@ -493,6 +495,83 @@ def test_estimate_cavity_non_finite_exits_2(capsys, flag, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # lambda0**2 overflows
+        ["--lambda0-nm", "1e300", "--dlambda-nm", "1e299", "--l-mm", "1e300"],
+        ["--l-mm", "1e300", "--n", "1e300"],  # n*L overflows: zero mode spacing
+        ["--lambda0-nm", "1e-200", "--dlambda-nm", "1e-201"],  # lambda0**2 underflows to 0
+        ["--lambda0-nm", "1e-150", "--dlambda-nm", "1e-151", "--l-mm", "1e300"],  # M overflows
+        ["--pulse-ns", "1e-300", "--rep-ms", "1e300"],  # the duty ratio underflows to 0
+    ],
+)
+def test_estimate_cavity_out_of_float_range_exits_2(capsys, extra):
+    argv = ["estimate-cavity", "--lambda0-nm", "780", "--dlambda-nm", "30", "--l-mm", "250"]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--e0", "1e200", "--unlocked"],
+        ["--e0", "1e200"],
+        ["--delta-omega", "1e-320"],
+        ["--e0", "1e153", "--unlocked"],  # the peak fits a float, the intensity sum does not
+        ["--delta-omega", "4e-308", "--periods", "2"],  # the period fits, two do not
+    ],
+)
+def test_pulse_train_overflow_exits_2(capsys, extra):
+    argv = ["pulse-train", "--n-side", "5", "--samples", "64", "--format", "json"]
+    assert main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+_extreme_floats = st.one_of(
+    st.just(0.0), st.floats(1e-320, 1e300).flatmap(lambda x: st.sampled_from([x, -x]))
+)
+_CONTRACT_FLAGS = {  # command: (the float flags drawn, the fixed arguments)
+    "estimate-cavity": (
+        ["--lambda0-nm", "--dlambda-nm", "--l-mm", "--n", "--pulse-ns", "--rep-ms"], []
+    ),
+    "pulse-train": (
+        ["--e0", "--delta-omega", "--phi"],
+        ["--n-side", "2", "--samples", "48", "--periods", "2", "--format", "json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONTRACT_FLAGS))
+# capsys is read after every call, so one capture serves every example.
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(values=st.lists(_extreme_floats, min_size=6, max_size=6), unlocked=st.booleans())
+def test_cli_contract_on_float_extremes(capsys, command, values, unlocked):
+    flags, fixed = _CONTRACT_FLAGS[command]
+    argv = [command, *fixed]
+    for flag, value in zip(flags, values):
+        argv += [flag, repr(value)]
+    if command == "pulse-train" and unlocked:
+        argv.append("--unlocked")
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out, parse_constant=_no_constant)
+    else:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_scan_phase_counts(capsys):

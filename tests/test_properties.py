@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brightdark.classify import classify_fock
-from brightdark.cli import _json_chunks, _Records, _round_sig
+from brightdark.cli import _json_chunks, _Records
 from brightdark.collective import build_basis, from_collective, to_collective
 from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from brightdark.fock import (
@@ -473,16 +473,6 @@ def test_series_csv_matches_csv_writer_oracle(rows, t_values, i_values, extra, m
     assert series_to_csv(series) == _oracle_series_to_csv(series)
 
 
-@pytest.mark.parametrize("rows", row_counts)
-@settings(max_examples=20, deadline=None)
-@given(edge_values)
-def test_round_sig_matches_per_element_oracle(rows, values):
-    doc = {"x": _tiled(values, rows), "n": 3, "flag": True}
-    got, want = _round_sig(doc), _oracle_round_sig(doc)
-    assert all(type(v) is float for v in got["x"])
-    assert json.dumps(got) == json.dumps(want)
-
-
 # The masks' hard cases: integers ('%.12g' drops the '.0'), non-finite values,
 # 1e12 <= |y| < 1e16 (fixed notation in repr), subnormals (shorter repr).
 _WRITER_EDGES = [
@@ -499,8 +489,11 @@ def test_json_writer_matches_the_json_dumps_oracle(rows, x_values, y_values):
     x, y = _tiled(x_values, rows), _tiled(y_values, rows)
     labels = [("Dark", "Bright", 'a "100%" label')[k % 3] for k in range(rows)]
     doc = {
-        "meta": {"x": x, "n": 3, "flag": True, "name": "100%"},
+        "meta": {"x": x, "n": 3, "flag": True, "name": "100%", "none": None},
         "points": _Records({"y": y, "label": labels}, {"c": 2.5}),
+        "empty": {"dict": {}, "list": [], "x": x[:0]},
+        "nested": [(1, np.int64(-7), np.float64(y_values[0])), [x[:3], [0.1, x_values[0]]]],
+        'a "quoted"\tkey\u00e9': x_values,
     }
     points = [{"y": b, "label": s, "c": 2.5} for b, s in zip(y, labels)]
     want = json.dumps(_oracle_round_sig({**doc, "points": points}), sort_keys=True, indent=2)

@@ -8,6 +8,7 @@ import pytest
 from brightdark import pulses
 from brightdark.errors import ResolutionError, ResourceLimitError
 from brightdark.pulses import (
+    IntensitySeries,
     LaserField,
     amplitude_closed,
     amplitude_direct,
@@ -85,11 +86,39 @@ def test_rejects_single_mode():
         LaserField(n_side=0)
 
 
-@pytest.mark.parametrize("name", ["e0", "delta_omega", "phi", "omega0"])
+@pytest.mark.parametrize("name", ["e0", "delta_omega", "phi"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_field_refuses_non_finite_parameters(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         LaserField(n_side=2, **{name: bad})
+
+
+@pytest.mark.parametrize(
+    "params, match",
+    [
+        ({"e0": 1e200}, "m_total"),
+        ({"e0": -1e200}, "m_total"),
+        ({"e0": 1.4e154 / 11}, "m_total"),  # (e0*M)^2 just past the largest float
+        ({"delta_omega": 1e-320}, "delta_omega overflows"),
+        ({"delta_omega": 1e-308}, "delta_omega overflows"),
+    ],
+)
+def test_field_refuses_an_overflowing_peak_or_period(params, match):
+    with pytest.raises(ValueError, match=match):
+        LaserField(n_side=5, **params)
+
+
+def test_field_keeps_the_largest_finite_peak():
+    field = LaserField(n_side=5, e0=1.3e154 / 11)
+    series = intensity_series(field, samples_per_period=64)
+    assert math.isfinite(float(np.max(series.intensity)))
+
+
+def test_time_grid_past_the_largest_float_is_refused():
+    field = LaserField(n_side=2, delta_omega=4e-308)  # period 1.57e308
+    assert math.isfinite(intensity_series(field, 32, 1).t[-1])
+    with pytest.raises(ValueError, match="overflow the time grid"):
+        intensity_series(field, 32, 2)
 
 
 def test_series_peak_and_grid():
@@ -212,3 +241,13 @@ def test_csv_export_headers_and_rows():
     first = lines[header_idx + 1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(25.0)
+
+
+def test_csv_header_follows_the_metadata_order():
+    metadata = {"periods": 1, "note": "hand-built", "kind": "locked", "seed": 4}
+    series = IntensitySeries(np.array([0.0, 0.5]), np.array([2.0, 1.0]), metadata)
+    assert series_to_csv(series) == (
+        "# periods=1\n# note=hand-built\n# kind=locked\n# seed=4\n"
+        "t_prime,intensity\n0,2\n0.5,1\n"
+    )
+
