@@ -102,12 +102,36 @@ def classify_coherent(
     return Classification(beta, _label_for(beta, beta_max, tol), beta_max, tol)
 
 
-def _classify_locked(modes: int, phases, tol: float) -> list[Classification]:
+def _locked_betas(modes: int, phases, tol: float) -> tuple[np.ndarray, float]:
     """Locked ladder at zero detection; both families share beta = |dirichlet|/sqrt(M)."""
     _check_tol(tol)
     beta_max = math.sqrt(modes)
-    betas = (abs(dirichlet(modes, phases)) / beta_max).tolist()
-    return [Classification(b, _label_for(b, beta_max, tol), beta_max, tol) for b in betas]
+    return np.abs(dirichlet(modes, phases)) / beta_max, beta_max
+
+
+def _classify_locked(modes: int, phases, tol: float) -> list[Classification]:
+    betas, beta_max = _locked_betas(modes, phases, tol)
+    return [Classification(b, _label_for(b, beta_max, tol), beta_max, tol) for b in betas.tolist()]
+
+
+def _scan_columns(modes: int, family: str, grid_points: int, tol: float):
+    """scan_phase as columns: the phi and beta arrays, a Label per point and beta_max."""
+    if family not in ("single_photon", "coherent"):
+        raise ValueError(f"family must be 'single_photon' or 'coherent', got {family!r}")
+    if modes < 2 or grid_points < 2 * modes or grid_points % modes:
+        raise ValueError(
+            f"grid_points={grid_points} cannot resolve all dark phases of {modes} modes; "
+            "need at least 2 modes and a multiple of the mode count >= 2*modes"
+        )
+    if grid_points > SCAN_MAX_POINTS:
+        raise ResourceLimitError(
+            f"grid_points={grid_points} exceeds {SCAN_MAX_POINTS} scan points"
+        )
+    phis = 2.0 * math.pi * np.arange(grid_points) / grid_points
+    betas, beta_max = _locked_betas(modes, phis, tol)
+    # _label_for at every point, as an index into Label's members.
+    codes = np.where(betas < tol * beta_max, 0, np.where(betas > (1.0 - tol) * beta_max, 1, 2))
+    return phis, betas, np.array(list(Label), dtype=object)[codes].tolist(), beta_max
 
 
 def scan_phase(
@@ -121,16 +145,6 @@ def scan_phase(
     The grid, a multiple of M of at least 2*M points, holds every multiple of
     2*pi/M: exactly M - 1 dark points and one bright point per period.
     """
-    if family not in ("single_photon", "coherent"):
-        raise ValueError(f"family must be 'single_photon' or 'coherent', got {family!r}")
-    if modes < 2 or grid_points < 2 * modes or grid_points % modes:
-        raise ValueError(
-            f"grid_points={grid_points} cannot resolve all dark phases of {modes} modes; "
-            "need at least 2 modes and a multiple of the mode count >= 2*modes"
-        )
-    if grid_points > SCAN_MAX_POINTS:
-        raise ResourceLimitError(
-            f"grid_points={grid_points} exceeds {SCAN_MAX_POINTS} scan points"
-        )
-    phis = [2.0 * math.pi * k / grid_points for k in range(grid_points)]
-    return list(zip(phis, _classify_locked(modes, phis, tol)))
+    phis, betas, labels, beta_max = _scan_columns(modes, family, grid_points, tol)
+    points = zip(phis.tolist(), betas.tolist(), labels)
+    return [(phi, Classification(beta, label, beta_max, tol)) for phi, beta, label in points]

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import CavityDesign, ratio_report
-from .classify import _classify_locked, scan_phase
+from .classify import _classify_locked, _scan_columns
 from .counting import dark_census, locked_dark_phases
 from .errors import DegenerateInputError, ResourceLimitError
 from .pulses import (
@@ -338,11 +338,10 @@ def cmd_estimate_cavity(args, parser) -> int:
 
 def cmd_scan_phase(args, parser) -> int:
     family = args.family.replace("-", "_")
-    phis, classes = zip(*scan_phase(args.m, family, args.grid, args.tol))
-    labels = [r.label.value for r in classes]
-    points = {"phi": np.array(phis), "beta": np.array([r.beta for r in classes]), "label": labels}
+    phis, betas, labels, beta_max = _scan_columns(args.m, family, args.grid, args.tol)
+    points = {"phi": phis, "beta": betas, "label": labels}
     # beta_max and tol are the same at every point of the ladder.
-    constants = {"beta_max": classes[0].beta_max, "tol": classes[0].tol}
+    constants = {"beta_max": beta_max, "tol": args.tol}
     results = {
         "points": _Records(points, constants),
         "dark_points": labels.count("Dark"),

@@ -13,6 +13,7 @@ phases) keeps the mean intensity but destroys the peaks.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -46,6 +47,8 @@ class LaserField:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_omega <= 0:
             raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
+        if self.m_total > sys.float_info.max:  # compared exactly; e0 * m_total would raise
+            raise ValueError("m_total = 2*n_side + 1 is past the largest float")
         peak = self.e0 * self.m_total  # squared as a product: float ** 2 raises on overflow
         for name, value in (("(e0*m_total)^2", peak * peak), ("2*pi/delta_omega", self.period)):
             if not math.isfinite(value):
@@ -103,8 +106,10 @@ class IntensitySeries:
     metadata: dict = field(default_factory=dict)
 
 
-def _series_metadata(field_: LaserField, samples_per_period: int, periods: int, kind, seed) -> dict:
-    """The series' parameters, in the order of the CSV header."""
+def _tiled(field_: LaserField, t: np.ndarray, one_period: np.ndarray, kind, seed):
+    """The series on grid ``t``: one period's intensity repeated over every period,
+    with the series' parameters as metadata, in the order of the CSV header."""
+    samples_per_period, periods = len(one_period), len(t) // len(one_period)
     resolution_ok = samples_per_period >= 4 * field_.m_total
     meta = {
         "kind": kind,
@@ -124,7 +129,7 @@ def _series_metadata(field_: LaserField, samples_per_period: int, periods: int, 
             f"samples_per_period={samples_per_period} under-resolves the main "
             f"lobe; need >= {4 * field_.m_total}"
         )
-    return meta
+    return IntensitySeries(t, np.tile(one_period, periods), meta)
 
 
 def _time_grid(field_: LaserField, samples_per_period: int, periods: int) -> np.ndarray:
@@ -146,11 +151,11 @@ def _time_grid(field_: LaserField, samples_per_period: int, periods: int) -> np.
 def intensity_series(
     field_: LaserField, samples_per_period: int, periods: int = 1
 ) -> IntensitySeries:
-    """Locked-phase intensity A(t)^2 on a uniform grid."""
+    """Locked-phase intensity A(t)^2 on a uniform grid.  The kernel of odd m_total is
+    2*pi-periodic, so one period is evaluated and tiled: the values are exactly periodic."""
     t = _time_grid(field_, samples_per_period, periods)
-    amp = amplitude_closed(field_, t)
-    meta = _series_metadata(field_, samples_per_period, periods, "locked", None)
-    return IntensitySeries(t, amp**2, meta)
+    amp = amplitude_closed(field_, t[:samples_per_period])
+    return _tiled(field_, t, amp**2, "locked", None)
 
 
 def unlocked_intensity(
@@ -159,7 +164,9 @@ def unlocked_intensity(
     """Intensity with the phase lock broken: per-mode phases drawn once from a
     seeded generator, then evaluated deterministically over the grid.  Mode m
     adds exp(2*pi*i*m*k/S) at sample k, which depends only on m mod S, so the
-    modes fold into S bins and one inverse FFT gives every period exactly."""
+    modes fold into S bins and one inverse FFT gives one period, which is tiled."""
+    if field_.m_total > SERIES_MAX_SAMPLES:
+        raise ResourceLimitError(f"{field_.m_total} modes exceed {SERIES_MAX_SAMPLES} modes")
     t = _time_grid(field_, samples_per_period, periods)
     rng = np.random.default_rng(seed)
     mode_phases = rng.uniform(0.0, 2.0 * math.pi, field_.m_total)
@@ -167,8 +174,7 @@ def unlocked_intensity(
     m = np.arange(-field_.n_side, field_.n_side + 1)
     np.add.at(bins, m % samples_per_period, np.exp(1j * mode_phases))
     amp = field_.e0 * samples_per_period * np.fft.ifft(bins)
-    meta = _series_metadata(field_, samples_per_period, periods, "unlocked", seed)
-    return IntensitySeries(t, np.tile(np.abs(amp) ** 2, periods), meta)
+    return _tiled(field_, t, np.abs(amp) ** 2, "unlocked", seed)
 
 
 @dataclass(frozen=True)

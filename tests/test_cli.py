@@ -350,6 +350,15 @@ def test_pulse_train_past_the_sample_bound_exits_3(capsys, extra):
     assert captured.out == "" and "samples" in captured.err
 
 
+def test_pulse_train_unlocked_past_the_mode_bound_exits_3(capsys):
+    # 2e9 drawn phases would take about 110 GB; the refusal comes first.
+    argv = ["pulse-train", "--n-side", "1000000000", "--unlocked", "--samples", "64"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error:") and "modes" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -524,6 +533,8 @@ def test_estimate_cavity_out_of_float_range_exits_2(capsys, extra):
         ["--delta-omega", "1e-320"],
         ["--e0", "1e153", "--unlocked"],  # the peak fits a float, the intensity sum does not
         ["--delta-omega", "4e-308", "--periods", "2"],  # the period fits, two do not
+        ["--n-side", "1" + "0" * 400],  # no float holds the mode count
+        ["--n-side", "1" + "0" * 400, "--unlocked"],
     ],
 )
 def test_pulse_train_overflow_exits_2(capsys, extra):

@@ -108,6 +108,12 @@ def test_field_refuses_an_overflowing_peak_or_period(params, match):
         LaserField(n_side=5, **params)
 
 
+@pytest.mark.parametrize("n_side", [10**400, 2**1023], ids=["10**400", "2**1023"])
+def test_field_refuses_a_mode_count_past_the_float_range(n_side):
+    with pytest.raises(ValueError, match="past the largest float"):
+        LaserField(n_side=n_side, e0=1e-300)
+
+
 def test_field_keeps_the_largest_finite_peak():
     field = LaserField(n_side=5, e0=1.3e154 / 11)
     series = intensity_series(field, samples_per_period=64)
@@ -140,10 +146,34 @@ def test_series_mean_counts_the_modes():
 
 
 def test_series_periodicity():
-    field = LaserField(n_side=6, delta_omega=2.2)
-    series = intensity_series(field, samples_per_period=128, periods=2)
-    first, second = series.intensity[:128], series.intensity[128:]
-    np.testing.assert_allclose(second, first, rtol=1e-10, atol=1e-10)
+    field = LaserField(n_side=6, delta_omega=2.2, phi=0.3)
+    for series in (
+        intensity_series(field, samples_per_period=128, periods=5),
+        unlocked_intensity(field, seed=3, samples_per_period=128, periods=5),
+    ):
+        rows = series.intensity.reshape(5, 128)
+        assert (rows == rows[0]).all()
+
+
+@pytest.mark.parametrize(
+    "n_side, samples, periods, phi",
+    [(5, 64, 50, 0.0), (5, 256, 50, 0.4), (20, 200, 13, -1.1), (1, 6, 50, 2.5)],
+)
+def test_series_matches_direct_sum_at_the_grid_times(n_side, samples, periods, phi):
+    field = LaserField(n_side=n_side, e0=1.3, delta_omega=0.8, phi=phi)
+    series = intensity_series(field, samples_per_period=samples, periods=periods)
+    direct = np.abs(amplitude_direct(field, series.t)) ** 2
+    peak = (field.e0 * field.m_total) ** 2
+    assert np.max(np.abs(series.intensity - direct)) <= 1e-10 * peak
+
+
+def test_locked_series_evaluates_the_kernel_on_one_period(monkeypatch):
+    sizes, kernel = [], pulses.dirichlet
+    monkeypatch.setattr(
+        pulses, "dirichlet", lambda modes, phase: sizes.append(np.size(phase)) or kernel(modes, phase)
+    )
+    series = intensity_series(LaserField(n_side=3), samples_per_period=64, periods=40)
+    assert sizes == [64] and series.intensity.shape == (64 * 40,)
 
 
 def test_series_undersampling_warns_in_metadata():
@@ -211,6 +241,16 @@ def test_unlocked_matches_direct_mode_sum(n_side, samples):
     direct = np.abs(field.e0 * np.exp(1j * phase).sum(axis=-1)) ** 2
     peak = (field.e0 * field.m_total) ** 2
     assert np.max(np.abs(series.intensity - direct)) <= 1e-9 * peak
+
+
+def test_unlocked_at_the_mode_bound_runs(monkeypatch):
+    monkeypatch.setattr(pulses, "SERIES_MAX_SAMPLES", 9)
+    series = unlocked_intensity(LaserField(n_side=4), seed=0, samples_per_period=9, periods=1)
+    assert float(np.mean(series.intensity)) == pytest.approx(9.0)
+    # Past the bound the refusal comes before any phase is drawn.
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ResourceLimitError, match="modes"):
+        unlocked_intensity(LaserField(n_side=5), seed=0, samples_per_period=8, periods=1)
 
 
 def test_unlocked_mean_matches_incoherent_sum():
