@@ -68,10 +68,7 @@ def free_spectral_range(design: CavityDesign) -> float:
 
 def gain_bandwidth(design: CavityDesign) -> float:
     """Gain bandwidth 2*pi*c*dlambda/lambda0^2 in rad/s."""
-    try:
-        square = design.lambda0**2
-    except OverflowError:
-        square = math.inf
+    square = design.lambda0 * design.lambda0  # overflows to inf, where ** would raise
     omega = 2.0 * math.pi * SPEED_OF_LIGHT * design.dlambda_g / _in_range("lambda0^2", square)
     return _in_range("the gain bandwidth", omega)
 

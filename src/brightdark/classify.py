@@ -38,12 +38,14 @@ class Classification:
     tol: float
 
 
-def _label_for(beta: float, beta_max: float, tol: float) -> Label:
-    if beta < tol * beta_max:
-        return Label.DARK
-    if beta > (1.0 - tol) * beta_max:
-        return Label.BRIGHT
-    return Label.INTERMEDIATE
+# Indexed by 2*dark + bright: at most one holds, since tol < 0.5.
+_LABELS = np.array([Label.INTERMEDIATE, Label.BRIGHT, Label.DARK], dtype=object)
+
+
+def _label_for(beta, beta_max: float, tol: float):
+    """Dark below tol*beta_max, Bright above (1-tol)*beta_max, else Intermediate:
+    a Label for a float beta, an object array of them for an array."""
+    return _LABELS[2 * np.less(beta, tol * beta_max) + np.greater(beta, (1.0 - tol) * beta_max)]
 
 
 def _check_tol(tol: float) -> None:
@@ -102,16 +104,13 @@ def classify_coherent(
     return Classification(beta, _label_for(beta, beta_max, tol), beta_max, tol)
 
 
-def _locked_betas(modes: int, phases, tol: float) -> tuple[np.ndarray, float]:
-    """Locked ladder at zero detection; both families share beta = |dirichlet|/sqrt(M)."""
+def _locked(modes: int, phases, tol: float):
+    """The locked ladder at zero detection, where both families share
+    beta = |dirichlet|/sqrt(M): (betas, labels, beta_max), scalars for a scalar phase."""
     _check_tol(tol)
     beta_max = math.sqrt(modes)
-    return np.abs(dirichlet(modes, phases)) / beta_max, beta_max
-
-
-def _classify_locked(modes: int, phases, tol: float) -> list[Classification]:
-    betas, beta_max = _locked_betas(modes, phases, tol)
-    return [Classification(b, _label_for(b, beta_max, tol), beta_max, tol) for b in betas.tolist()]
+    betas = np.abs(dirichlet(modes, phases)) / beta_max
+    return betas, _label_for(betas, beta_max, tol), beta_max
 
 
 def _scan_columns(modes: int, family: str, grid_points: int, tol: float):
@@ -128,10 +127,8 @@ def _scan_columns(modes: int, family: str, grid_points: int, tol: float):
             f"grid_points={grid_points} exceeds {SCAN_MAX_POINTS} scan points"
         )
     phis = 2.0 * math.pi * np.arange(grid_points) / grid_points
-    betas, beta_max = _locked_betas(modes, phis, tol)
-    # _label_for at every point, as an index into Label's members.
-    codes = np.where(betas < tol * beta_max, 0, np.where(betas > (1.0 - tol) * beta_max, 1, 2))
-    return phis, betas, np.array(list(Label), dtype=object)[codes].tolist(), beta_max
+    betas, labels, beta_max = _locked(modes, phis, tol)
+    return phis, betas, labels.tolist(), beta_max
 
 
 def scan_phase(

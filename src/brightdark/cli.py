@@ -14,6 +14,7 @@ an error: the command stops writing and exits 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import CavityDesign, ratio_report
-from .classify import _classify_locked, _scan_columns
+from .classify import _locked, _scan_columns
 from .counting import dark_census, locked_dark_phases
 from .errors import DegenerateInputError, ResourceLimitError
 from .pulses import (
@@ -234,15 +235,6 @@ def _params(args, *drop: str) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _classification_dict(result) -> dict:
-    return {
-        "beta": result.beta,
-        "label": result.label.value,
-        "beta_max": result.beta_max,
-        "tol": result.tol,
-    }
-
-
 def cmd_pulse_train(args, parser) -> int:
     field = LaserField(
         n_side=args.n_side, e0=args.e0, delta_omega=args.delta_omega, phi=args.phi
@@ -259,13 +251,7 @@ def cmd_pulse_train(args, parser) -> int:
         }
     else:
         series = intensity_series(field, args.samples, args.periods)
-        pm = pulse_metrics(series)
-        metrics = {
-            "fwhm": pm.fwhm,
-            "period": pm.period,
-            "duty_ratio": pm.duty_ratio,
-            "peak": pm.peak,
-        }
+        metrics = dataclasses.asdict(pulse_metrics(series))
     if args.format == "csv":
         footer = "".join(f"# {k}={float(f'{v:.12g}')}\n" for k, v in sorted(metrics.items()))
         _write_chunks(chain(_csv_chunks(series), [footer]), args.output)
@@ -299,25 +285,21 @@ def cmd_classify(args, parser) -> int:
         if args.alpha == 0:
             raise DegenerateInputError("alpha = 0 is the vacuum; trivially dark", vacuum=True)
     # The locked ladder at zero detection phases: both families share the kernel.
-    (result,) = _classify_locked(args.m, [phase], args.tol)
+    beta, label, beta_max = _locked(args.m, phase, args.tol)
+    results = {"beta": beta, "label": label.value, "beta_max": beta_max, "tol": args.tol}
     params = _params(args, "phase_frac", "alpha") | {"phase": phase}
     if args.family == "coherent":
         params["alpha"] = repr(args.alpha)
-    _emit_json("classify", params, _classification_dict(result), args.output)
+    _emit_json("classify", params, results, args.output)
     return EXIT_OK
 
 
 def cmd_count_dark(args, parser) -> int:
     census = dark_census(args.m, enumerate_states=args.enumerate)
-    results = {
-        "pi_phase_count": census.pi_phase_count,
-        "enumerated_count": census.enumerated_count,
-        "locked_dark_count": census.locked_dark_count,
-        "bright_count": census.bright_count,
-        "ratio": census.ratio,
-    }
+    results = dataclasses.asdict(census)
+    del results["modes"]  # already in params
     if args.m <= 64:
-        results["locked_dark_phases"] = locked_dark_phases(args.m, verify=True)
+        results["locked_dark_phases"] = locked_dark_phases(args.m)
     _emit_json("count-dark", _params(args), results, args.output)
     return EXIT_OK
 

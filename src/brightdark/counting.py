@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import DEFAULT_TOL, Label, _classify_locked
+from .classify import DEFAULT_TOL, Label, _locked
 from .errors import ResourceLimitError
 
 ENUMERATION_MAX_MODES = 24
@@ -51,38 +51,33 @@ def _balanced_masks(modes: int):
         yield masks[2 * np.bitwise_count(masks) == modes]
 
 
-def enumerate_sign_states(modes: int) -> list[tuple[int, ...]]:
-    """Exhaustively list every zero-sum vector in {+1,-1}^M, first entry +1.
+def enumerate_sign_states(modes: int) -> np.ndarray:
+    """Exhaustively list every zero-sum vector in {+1,-1}^M, first entry +1,
+    as the rows of a (count, M) int8 array in increasing mask order.
 
     Scans all 2^(M-1) assignments of the remaining entries, so the result is
     an independent check of :func:`count_pi_phase_dark`.
     """
-    out = []
-    for masks in _balanced_masks(modes):
-        signs = np.ones((masks.size, modes), dtype=np.int64)
-        signs[:, 1:] -= 2 * (masks[:, None] >> np.arange(modes - 1, dtype=np.uint32) & 1)
-        out.extend(map(tuple, signs.tolist()))
-    return out
+    masks = np.concatenate(list(_balanced_masks(modes))).astype("<u4", copy=False)
+    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little")
+    signs = np.ones((masks.size, modes), dtype=np.int8)
+    signs[:, 1:] -= 2 * bits[:, : modes - 1].view(np.int8)
+    return signs
 
 
-def locked_dark_phases(
-    modes: int, verify: bool = True, tol: float = DEFAULT_TOL
-) -> list[float]:
+def locked_dark_phases(modes: int, tol: float = DEFAULT_TOL) -> list[float]:
     """Phase steps 2*pi*K/M, K = 1..M-1, that make the locked ladder dark.
 
-    With ``verify`` set, every phase and the K = 0 endpoint are classified
-    in one vectorised Dirichlet-kernel call; the endpoint must be bright.
+    Every phase and the K = 0 endpoint are classified in one vectorised
+    Dirichlet-kernel call; the endpoint must be bright and the rest dark.
     """
     if modes < 2:
         raise ValueError(f"need at least 2 modes, got {modes}")
     phases = [2.0 * math.pi * k / modes for k in range(1, modes)]
-    if verify:
-        bright, *darks = _classify_locked(modes, [0.0] + phases, tol)
-        for phi, got in zip(phases, darks):
-            if got.label is not Label.DARK:
-                raise AssertionError(f"phase {phi} classified {got.label.value}, not Dark")
-        if bright.label is not Label.BRIGHT:
-            raise AssertionError(f"zero phase classified {bright.label.value}, not Bright")
+    labels = _locked(modes, [0.0] + phases, tol)[1]
+    for phi, got, want in zip([0.0] + phases, labels, [Label.BRIGHT] + [Label.DARK] * len(phases)):
+        if got is not want:
+            raise AssertionError(f"phase {phi} classified {got.value}, not {want.value}")
     return phases
 
 

@@ -24,6 +24,7 @@ from .errors import ResolutionError, ResourceLimitError
 SINGULARITY_EPS = 1e-12
 SERIES_MAX_SAMPLES = 10_000_000  # samples per series, checked before allocating
 FORMAT_CHUNK = 4096  # rows formatted per pass; bounds the Python floats alive at once
+FOLD_CHUNK = 1 << 16  # modes drawn and folded per pass by unlocked_intensity
 
 
 @dataclass(frozen=True)
@@ -164,15 +165,17 @@ def unlocked_intensity(
     """Intensity with the phase lock broken: per-mode phases drawn once from a
     seeded generator, then evaluated deterministically over the grid.  Mode m
     adds exp(2*pi*i*m*k/S) at sample k, which depends only on m mod S, so the
-    modes fold into S bins and one inverse FFT gives one period, which is tiled."""
+    modes fold into S bins and one inverse FFT gives one period, which is tiled.
+    The phases are drawn and folded FOLD_CHUNK modes at a time, in mode order."""
     if field_.m_total > SERIES_MAX_SAMPLES:
         raise ResourceLimitError(f"{field_.m_total} modes exceed {SERIES_MAX_SAMPLES} modes")
     t = _time_grid(field_, samples_per_period, periods)
     rng = np.random.default_rng(seed)
-    mode_phases = rng.uniform(0.0, 2.0 * math.pi, field_.m_total)
     bins = np.zeros(samples_per_period, dtype=complex)
-    m = np.arange(-field_.n_side, field_.n_side + 1)
-    np.add.at(bins, m % samples_per_period, np.exp(1j * mode_phases))
+    for lo in range(-field_.n_side, field_.n_side + 1, FOLD_CHUNK):
+        m = np.arange(lo, min(lo + FOLD_CHUNK, field_.n_side + 1))
+        phases = rng.uniform(0.0, 2.0 * math.pi, m.size)
+        np.add.at(bins, m % samples_per_period, np.exp(1j * phases))
     amp = field_.e0 * samples_per_period * np.fft.ifft(bins)
     return _tiled(field_, t, np.abs(amp) ** 2, "unlocked", seed)
 

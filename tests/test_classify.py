@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from brightdark import classify
@@ -191,3 +192,17 @@ def test_scan_at_the_point_bound_runs(monkeypatch):
 def test_scan_unknown_family_rejected():
     with pytest.raises(ValueError):
         scan_phase(4, "squeezed", 16)
+
+
+@pytest.mark.parametrize(
+    "beta_max, tol", [(math.sqrt(7), 1e-6), (2.0, 0.25), (math.sqrt(12), 1e-10)]
+)
+def test_label_rule_at_its_edges(beta_max, tol):
+    # Both comparisons are strict: beta on a threshold is Intermediate, one float out is not.
+    low, high = tol * beta_max, (1.0 - tol) * beta_max
+    betas = [low, high, np.nextafter(low, -math.inf), np.nextafter(high, math.inf)]
+    want = [Label.INTERMEDIATE, Label.INTERMEDIATE, Label.DARK, Label.BRIGHT]
+    scalar = [classify._label_for(float(beta), beta_max, tol) for beta in betas]
+    column = classify._label_for(np.array(betas), beta_max, tol)
+    assert all(got is label for got, label in zip(scalar, want))
+    assert all(got is label for got, label in zip(column.tolist(), want))

@@ -15,7 +15,7 @@ from test_properties import _oracle_round_sig, _oracle_series_to_csv
 
 from brightdark import cli
 from brightdark.cavity import CavityDesign, ratio_report
-from brightdark.classify import SCAN_MAX_POINTS, _classify_locked, classify_fock, scan_phase
+from brightdark.classify import SCAN_MAX_POINTS, Classification, _locked, classify_fock, scan_phase
 from brightdark.cli import build_parser, main
 from brightdark.counting import (
     COUNT_MAX_MODES,
@@ -187,7 +187,8 @@ def test_classify_bytes_match_the_oracle(capsys, family, m, phase_arg, phase):
     params = {"m": m, "family": family, "phase": phase, "tol": cli.CLI_TOL}
     if family == "coherent":
         params["alpha"] = repr(0.5 + 1j)
-    (result,) = _classify_locked(m, [phase], cli.CLI_TOL)
+    betas, labels, beta_max = _locked(m, np.array([phase]), cli.CLI_TOL)
+    result = Classification(float(betas[0]), labels[0], beta_max, cli.CLI_TOL)
     assert _stdout(capsys, argv) == _oracle_doc("classify", params, _oracle_classification(result))
 
 
@@ -205,7 +206,7 @@ def test_count_dark_bytes_match_the_oracle(capsys, m, enumerate_):
         "ratio": census.ratio,
     }
     if m <= 64:
-        results["locked_dark_phases"] = locked_dark_phases(m, verify=True)
+        results["locked_dark_phases"] = locked_dark_phases(m)
     argv = ["count-dark", "--m", str(m)] + (["--enumerate"] if enumerate_ else [])
     want = _oracle_doc("count-dark", {"m": m, "enumerate": enumerate_}, results)
     assert _stdout(capsys, argv) == want

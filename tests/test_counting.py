@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from brightdark.classify import Label, classify_fock
@@ -36,20 +37,21 @@ def test_closed_form_is_exact_big_integer():
 
 
 def test_enumeration_m2():
-    assert enumerate_sign_states(2) == [(1, -1)]
+    states = enumerate_sign_states(2)
+    assert states.dtype == np.int8
+    np.testing.assert_array_equal(states, [[1, -1]])
 
 
 def test_enumeration_m4():
     states = enumerate_sign_states(4)
-    assert len(states) == 3
-    for vec in states:
-        assert vec[0] == 1
-        assert sum(vec) == 0
+    assert states.shape == (3, 4)
+    assert (states[:, 0] == 1).all()
+    assert (states.sum(axis=1) == 0).all()
 
 
 def test_enumeration_odd_is_empty():
-    assert enumerate_sign_states(3) == []
-    assert enumerate_sign_states(7) == []
+    assert enumerate_sign_states(3).shape == (0, 3)
+    assert enumerate_sign_states(7).shape == (0, 7)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12, 14, 16])
@@ -65,7 +67,9 @@ def test_enumeration_matches_product_oracle(m):
         for rest in itertools.product((1, -1), repeat=m - 1)
         if 1 + sum(rest) == 0
     ]
-    assert enumerate_sign_states(m) == want
+    states = enumerate_sign_states(m)
+    assert states.dtype == np.int8
+    np.testing.assert_array_equal(states, np.array(want, dtype=np.int8).reshape(-1, m))
 
 
 def test_enumeration_resource_bound():
@@ -101,13 +105,19 @@ def test_locked_dark_phases_m4():
 
 
 def test_locked_dark_phases_m7_all_verified():
-    phases = locked_dark_phases(7, verify=True)
+    phases = locked_dark_phases(7)
     assert phases == pytest.approx([2 * math.pi * k / 7 for k in range(1, 7)])
 
 
 def test_locked_dark_phase_count_is_m_minus_1():
     for m in range(2, 12):
-        assert len(locked_dark_phases(m, verify=False)) == m - 1
+        assert len(locked_dark_phases(m)) == m - 1
+
+
+def test_locked_dark_phases_always_checks_the_labels():
+    # At a tolerance far below rounding no step is labelled: the K = 0 check fails first.
+    with pytest.raises(AssertionError, match=r"phase 0\.0 classified Intermediate, not Bright"):
+        locked_dark_phases(7, tol=1e-300)
 
 
 @pytest.mark.parametrize("m,expected", [(2, 1.0), (4, 1 / 3)])

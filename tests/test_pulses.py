@@ -253,6 +253,19 @@ def test_unlocked_at_the_mode_bound_runs(monkeypatch):
         unlocked_intensity(LaserField(n_side=5), seed=0, samples_per_period=8, periods=1)
 
 
+@pytest.mark.parametrize(
+    "n_side, samples, chunk", [(4, 9, 2), (20, 16, 3), (50, 7, 5), (37, 128, 75)]
+)
+def test_unlocked_fold_in_chunks_matches_the_one_shot_fold(monkeypatch, n_side, samples, chunk):
+    field = LaserField(n_side=n_side, e0=1.7)
+    monkeypatch.setattr(pulses, "FOLD_CHUNK", field.m_total)
+    one_shot = unlocked_intensity(field, seed=11, samples_per_period=samples, periods=2)
+    monkeypatch.setattr(pulses, "FOLD_CHUNK", chunk)
+    chunked = unlocked_intensity(field, seed=11, samples_per_period=samples, periods=2)
+    assert np.array_equal(chunked.intensity, one_shot.intensity)
+    assert chunked.metadata == one_shot.metadata
+
+
 def test_unlocked_mean_matches_incoherent_sum():
     field = LaserField(n_side=10, e0=1.2)
     series = unlocked_intensity(field, seed=1, samples_per_period=128, periods=100)
