@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -108,15 +109,15 @@ def _locked(modes: int, phases, tol: float):
     """The locked ladder at zero detection, where both families share
     beta = |dirichlet|/sqrt(M): (betas, labels, beta_max), scalars for a scalar phase."""
     _check_tol(tol)
+    if modes > sys.float_info.max / math.pi:  # compared exactly; else sin(modes*x/2) reads inf
+        raise ValueError("the mode count times pi is past the largest float")
     beta_max = math.sqrt(modes)
     betas = np.abs(dirichlet(modes, phases)) / beta_max
     return betas, _label_for(betas, beta_max, tol), beta_max
 
 
-def _scan_columns(modes: int, family: str, grid_points: int, tol: float):
+def _scan_columns(modes: int, grid_points: int, tol: float):
     """scan_phase as columns: the phi and beta arrays, a Label per point and beta_max."""
-    if family not in ("single_photon", "coherent"):
-        raise ValueError(f"family must be 'single_photon' or 'coherent', got {family!r}")
     if modes < 2 or grid_points < 2 * modes or grid_points % modes:
         raise ValueError(
             f"grid_points={grid_points} cannot resolve all dark phases of {modes} modes; "
@@ -142,6 +143,8 @@ def scan_phase(
     The grid, a multiple of M of at least 2*M points, holds every multiple of
     2*pi/M: exactly M - 1 dark points and one bright point per period.
     """
-    phis, betas, labels, beta_max = _scan_columns(modes, family, grid_points, tol)
+    if family not in ("single_photon", "coherent"):
+        raise ValueError(f"family must be 'single_photon' or 'coherent', got {family!r}")
+    phis, betas, labels, beta_max = _scan_columns(modes, grid_points, tol)
     points = zip(phis.tolist(), betas.tolist(), labels)
     return [(phi, Classification(beta, label, beta_max, tol)) for phi, beta, label in points]

@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Every command prints a JSON document ``{"command", "params", "results"}``
-(the pulse-train command can emit CSV instead); numbers are rounded to 12
-significant digits so identical invocations produce byte-identical output.
-A document is written in chunks as it is formatted, and ``--output`` replaces
-its target only once the whole document is written.
+argparse reads the argv: ``--output`` on every subcommand, and exactly one of
+``classify --phase`` or ``--phase-frac K/M`` (2*pi*K/M); a command only
+computes.  Every command prints a JSON document ``{"command", "params",
+"results"}`` (the pulse-train command can emit CSV instead); numbers are
+rounded to 12 significant digits so identical invocations produce
+byte-identical output.  A document is written in chunks as it is formatted,
+and ``--output`` replaces its target only once the whole document is written.
 
-Exit codes: 0 success, 2 validation error, 3 resource limit, 4 internal error.
-A reader that closes standard output early (``brightdark ... | head``) is not
-an error: the command stops writing and exits 0.
+Exit codes: 0 success, 2 validation error, 3 resource limit, 4 internal error,
+which no argv the parser accepts should reach.  A reader that closes standard
+output early (``brightdark ... | head``) is not an error: it exits 0.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cavity import CavityDesign, ratio_report
-from .classify import _locked, _scan_columns
+from .classify import DEFAULT_TOL, _locked, _scan_columns
 from .counting import dark_census, locked_dark_phases
 from .errors import DegenerateInputError, ResourceLimitError
 from .pulses import (
@@ -214,19 +216,17 @@ def _emit_json(command: str, params: dict, results: dict, output: str | None) ->
     _write_chunks(chain(chunks, ["\n"]) if output is None else chunks, output)
 
 
-def _parse_phase(args, parser: argparse.ArgumentParser) -> float:
-    if args.phase_frac is not None:
-        try:
-            num, den = args.phase_frac.split("/")
-            k, m = int(num), int(den)
-        except ValueError:
-            parser.error(f"--phase-frac expects K/M with integers, got {args.phase_frac!r}")
-        if m <= 0:
-            parser.error(f"--phase-frac denominator must be positive, got {m}")
-        return 2.0 * math.pi * k / m
-    if args.phase is None:
-        parser.error("one of --phase or --phase-frac is required")
-    return args.phase
+def _phase_frac(text: str) -> float:
+    """The phase step 2*pi*K/M of a ``--phase-frac K/M`` argument."""
+    try:
+        k, m = map(int, text.split("/"))
+        if m > 0:
+            return 2.0 * math.pi * k / m
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects K/M with integers, got {text!r}") from None
+    except OverflowError:  # K or M converted to a float
+        raise argparse.ArgumentTypeError("K or M is past the largest float") from None
+    raise argparse.ArgumentTypeError("the denominator M must be positive")
 
 
 def _params(args, *drop: str) -> dict:
@@ -235,7 +235,7 @@ def _params(args, *drop: str) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def cmd_pulse_train(args, parser) -> int:
+def cmd_pulse_train(args) -> None:
     field = LaserField(
         n_side=args.n_side, e0=args.e0, delta_omega=args.delta_omega, phi=args.phi
     )
@@ -253,7 +253,7 @@ def cmd_pulse_train(args, parser) -> int:
         series = intensity_series(field, args.samples, args.periods)
         metrics = dataclasses.asdict(pulse_metrics(series))
     if args.format == "csv":
-        footer = "".join(f"# {k}={float(f'{v:.12g}')}\n" for k, v in sorted(metrics.items()))
+        footer = "".join(f"# {k}={_json_number(v)}\n" for k, v in sorted(metrics.items()))
         _write_chunks(chain(_csv_chunks(series), [footer]), args.output)
     else:
         params = _params(args, "format", "seed")
@@ -266,13 +266,11 @@ def cmd_pulse_train(args, parser) -> int:
             "intensity": series.intensity,
         }
         _emit_json("pulse-train", params, results, args.output)
-    return EXIT_OK
 
 
-def cmd_classify(args, parser) -> int:
-    phase = _parse_phase(args, parser)
-    if not math.isfinite(phase):
-        raise ValueError(f"phase must be finite, got {phase}")
+def cmd_classify(args) -> None:
+    if not math.isfinite(args.phase):
+        raise ValueError(f"phase must be finite, got {args.phase}")
     if args.m < 1:
         raise ValueError(f"need at least one mode, got {args.m}")
     if args.family == "single-photon" and args.m < 2:
@@ -285,26 +283,24 @@ def cmd_classify(args, parser) -> int:
         if args.alpha == 0:
             raise DegenerateInputError("alpha = 0 is the vacuum; trivially dark", vacuum=True)
     # The locked ladder at zero detection phases: both families share the kernel.
-    beta, label, beta_max = _locked(args.m, phase, args.tol)
+    beta, label, beta_max = _locked(args.m, args.phase, args.tol)
     results = {"beta": beta, "label": label.value, "beta_max": beta_max, "tol": args.tol}
-    params = _params(args, "phase_frac", "alpha") | {"phase": phase}
+    params = _params(args, "alpha")
     if args.family == "coherent":
         params["alpha"] = repr(args.alpha)
     _emit_json("classify", params, results, args.output)
-    return EXIT_OK
 
 
-def cmd_count_dark(args, parser) -> int:
+def cmd_count_dark(args) -> None:
     census = dark_census(args.m, enumerate_states=args.enumerate)
     results = dataclasses.asdict(census)
     del results["modes"]  # already in params
     if args.m <= 64:
         results["locked_dark_phases"] = locked_dark_phases(args.m)
     _emit_json("count-dark", _params(args), results, args.output)
-    return EXIT_OK
 
 
-def cmd_estimate_cavity(args, parser) -> int:
+def cmd_estimate_cavity(args) -> None:
     design = CavityDesign(
         lambda0=args.lambda0_nm * 1e-9,
         dlambda_g=args.dlambda_nm * 1e-9,
@@ -315,12 +311,10 @@ def cmd_estimate_cavity(args, parser) -> int:
     )
     report = ratio_report(design)
     _emit_json("estimate-cavity", _params(args), report.to_dict(), args.output)
-    return EXIT_OK
 
 
-def cmd_scan_phase(args, parser) -> int:
-    family = args.family.replace("-", "_")
-    phis, betas, labels, beta_max = _scan_columns(args.m, family, args.grid, args.tol)
+def cmd_scan_phase(args) -> None:
+    phis, betas, labels, beta_max = _scan_columns(args.m, args.grid, args.tol)
     points = {"phi": phis, "beta": betas, "label": labels}
     # beta_max and tol are the same at every point of the ladder.
     constants = {"beta_max": beta_max, "tol": args.tol}
@@ -331,7 +325,6 @@ def cmd_scan_phase(args, parser) -> int:
         "intermediate_points": labels.count("Intermediate"),
     }
     _emit_json("scan-phase", _params(args), results, args.output)
-    return EXIT_OK
 
 
 @functools.cache  # parse_args leaves the parser as it found it, so one serves every call
@@ -352,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unlocked", action="store_true", help="randomize the mode phases")
     p.add_argument("--seed", type=int, default=0, help="seed for --unlocked phases")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_pulse_train)
 
     p = sub.add_parser("classify", help="classify a locked phase ladder")
@@ -360,11 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family", choices=("single-photon", "coherent"), default="single-photon"
     )
-    p.add_argument("--phase", type=float, help="phase step, rad")
-    p.add_argument("--phase-frac", help="phase step as K/M, meaning 2*pi*K/M")
+    phase = p.add_mutually_exclusive_group(required=True)
+    phase.add_argument("--phase", type=float, help="phase step, rad")
+    phase.add_argument("--phase-frac", type=_phase_frac, dest="phase", metavar="PHASE_FRAC",
+                       help="phase step as K/M, meaning 2*pi*K/M")
     p.add_argument("--alpha", type=complex, default=1.0 + 0.0j)
     p.add_argument("--tol", type=float, default=CLI_TOL)
-    p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("count-dark", help="dark-state counts for M modes")
@@ -372,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--enumerate", action="store_true", help="verify by exhaustive enumeration"
     )
-    p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_count_dark)
 
     p = sub.add_parser("estimate-cavity", help="mode count and duty-ratio comparison")
@@ -382,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, default=1.0, help="refractive index")
     p.add_argument("--pulse-ns", type=float, default=45.0)
     p.add_argument("--rep-ms", type=float, default=1.0)
-    p.add_argument("--output", help="write here instead of stdout")
     p.set_defaults(func=cmd_estimate_cavity)
 
     p = sub.add_parser("scan-phase", help="classify a grid of phase steps")
@@ -391,26 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family", choices=("single-photon", "coherent"), default="coherent"
     )
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--output", help="write here instead of stdout")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_scan_phase)
 
-    for p in (parser, *sub.choices.values()):
+    parser._negative_number_matcher = _NEGATIVE_VALUE
+    for p in sub.choices.values():
+        p.add_argument("--output", help="write here instead of stdout")
         p._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args, parser)
+        args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
     except BrokenPipeError:
         # Point stdout at devnull so that the flush at shutdown cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -420,6 +409,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, output schema, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_properties import _oracle_round_sig, _oracle_series_to_csv
 
-from brightdark import cli
+from brightdark import classify, cli, pulses
 from brightdark.cavity import CavityDesign, ratio_report
 from brightdark.classify import SCAN_MAX_POINTS, Classification, _locked, classify_fock, scan_phase
 from brightdark.cli import build_parser, main
@@ -314,6 +315,29 @@ def test_classify_requires_a_phase(capsys):
     assert exc.value.code == 2
 
 
+def test_classify_refuses_both_phase_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--m", "4", "--phase", "0.3", "--phase-frac", "1/4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument --phase" in captured.err
+
+
+_BIG = "1" + "0" * 400  # no float holds it
+
+
+@pytest.mark.parametrize(
+    "frac", [f"1/{_BIG}", f"{_BIG}/3", f"-{_BIG}/7"], ids=["1/BIG", "BIG/3", "-BIG/7"]
+)
+def test_classify_phase_frac_past_the_float_range_exits_2(capsys, frac):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--m", "4", "--phase-frac", frac])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("argument --phase-frac: K or M is past the largest float\n")
+
+
 @pytest.mark.parametrize("m, frac", [(4, "1/4"), (5, "2/5"), (7, "3/10"), (16, "5/16")])
 def test_classify_agrees_with_the_fock_route(capsys, m, frac):
     code, doc = run_json(capsys, ["classify", "--m", str(m), "--phase-frac", frac])
@@ -334,12 +358,17 @@ def test_classify_agrees_with_the_fock_route(capsys, m, frac):
         ["classify", "--m", "4", "--phase", "0.5", "--family", "coherent", "--alpha", "nan"],
         ["classify", "--m", "4", "--phase", "inf"],
         ["classify", "--m", "4", "--phase", "0.5", "--tol", "0.7"],
+        ["classify", "--m", _BIG, "--phase", "0.5"],  # math.sqrt(m) would overflow
+        ["classify", "--m", _BIG, "--phase", "0.5", "--family", "coherent"],
+        # m fits a float, but m*x/2 in the kernel's sine overflows to inf and a NaN beta
+        ["classify", "--m", str(int(sys.float_info.max)), "--phase", "3"],
     ],
 )
 def test_classify_rejects_invalid_input(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1 and _BIG not in captured.err
 
 
 @pytest.mark.parametrize("extra", [[], ["--unlocked"]])
@@ -586,6 +615,49 @@ def test_cli_contract_on_float_extremes(capsys, command, values, unlocked):
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+_EXTREME_INTS = [_BIG, f"-{_BIG}", str(2**63), "0", "-1"]
+_INT_CONTRACT = {  # case: (argv with a {} slot per int, a valid value for each slot)
+    "classify": ("classify --m={} --phase-frac={}/{}", ["4", "1", "4"]),
+    "classify-coherent": ("classify --family=coherent --m={} --phase-frac={}/{}", ["4", "1", "4"]),
+    "scan-phase": ("scan-phase --m={} --grid={}", ["4", "16"]),
+    "count-dark": ("count-dark --m={}", ["6"]),
+    "count-dark-enumerate": ("count-dark --enumerate --m={}", ["6"]),
+    "pulse-train": (
+        "pulse-train --format=json --n-side={} --samples={} --periods={} --seed={}",
+        ["2", "24", "2", "0"],
+    ),
+    "pulse-train-unlocked": (
+        "pulse-train --format=json --unlocked --n-side={} --samples={} --periods={} --seed={}",
+        ["2", "24", "2", "0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INT_CONTRACT))
+def test_cli_contract_on_int_extremes(capsys, monkeypatch, case):
+    # Every int slot takes a valid value or each extreme, in every combination.
+    monkeypatch.setattr(pulses, "SERIES_MAX_SAMPLES", 4096)
+    monkeypatch.setattr(classify, "SCAN_MAX_POINTS", 64)
+    template, valid = _INT_CONTRACT[case]
+    broken = []
+    for values in itertools.product(*([v, *_EXTREME_INTS] for v in valid)):
+        argv = template.format(*values).split()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv, as in _session
+            code = exc.code
+        out, err = capsys.readouterr()
+        try:
+            assert code in (0, 2, 3)
+            if code == 0:
+                json.loads(out, parse_constant=_no_constant)
+            else:
+                assert out == "" and err.count("error:") == 1
+        except AssertionError:
+            broken.append((argv, code, err[-200:]))
+    assert not broken, f"{len(broken)} argv break the contract, first: {broken[0]}"
+
+
 def test_scan_phase_counts(capsys):
     code, doc = run_json(capsys, ["scan-phase", "--m", "4", "--grid", "16"])
     assert code == 0
@@ -641,18 +713,28 @@ def test_output_failing_mid_stream_keeps_the_old_file(tmp_path, monkeypatch, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.out"]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, fmt):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pulse-train", "--n-side", "3", "--samples", "5000", "--format", "csv"],
+        ["pulse-train", "--n-side", "3", "--samples", "5000", "--format", "json"],
+        ["classify", "--m", "7", "--phase-frac", "2/7", "--family", "coherent"],
+        ["count-dark", "--m", "6", "--enumerate"],
+        ["estimate-cavity", "--lambda0-nm", "780", "--dlambda-nm", "30", "--l-mm", "250"],
+        ["scan-phase", "--m", "4", "--grid", "16"],
+    ],
+    ids=["csv", "json", "classify", "count-dark", "estimate-cavity", "scan-phase"],
+)
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
     target = tmp_path / "sub" / "train.out"
     target.parent.mkdir()
     target.write_text("an older, longer document\n" * 1000)
-    argv = ["pulse-train", "--n-side", "3", "--samples", "5000", "--format", fmt]
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert main(argv + ["--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     # Only stdout ends a JSON document with a newline.
-    assert target.read_text() == (stdout[:-1] if fmt == "json" else stdout)
+    assert target.read_text() == (stdout if argv[-1] == "csv" else stdout[:-1])
     assert [p.name for p in target.parent.iterdir()] == ["train.out"]
 
 
