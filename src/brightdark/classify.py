@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,10 +108,9 @@ def _locked(modes: int, phases, tol: float):
     """The locked ladder at zero detection, where both families share
     beta = |dirichlet|/sqrt(M): (betas, labels, beta_max), scalars for a scalar phase."""
     _check_tol(tol)
-    if modes > sys.float_info.max / math.pi:  # compared exactly; else sin(modes*x/2) reads inf
-        raise ValueError("the mode count times pi is past the largest float")
+    kernel = dirichlet(modes, phases)  # refuses a mode count past 2**53 before math.sqrt
     beta_max = math.sqrt(modes)
-    betas = np.abs(dirichlet(modes, phases)) / beta_max
+    betas = np.abs(kernel) / beta_max
     return betas, _label_for(betas, beta_max, tol), beta_max
 
 

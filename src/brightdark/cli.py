@@ -5,8 +5,10 @@ argparse reads the argv: ``--output`` on every subcommand, and exactly one of
 computes.  Every command prints a JSON document ``{"command", "params",
 "results"}`` (the pulse-train command can emit CSV instead); numbers are
 rounded to 12 significant digits so identical invocations produce
-byte-identical output.  A document is written in chunks as it is formatted,
-and ``--output`` replaces its target only once the whole document is written.
+byte-identical output.  Float arrays and tables are written by the
+``pulses._g12_cells`` kernel, as json.dumps would write the rounded numbers.
+A document is written in chunks as it is formatted, and ``--output``
+replaces its target only once the whole document is written.
 
 Exit codes: 0 success, 2 validation error, 3 resource limit, 4 internal error,
 which no argv the parser accepts should reach.  A reader that closes standard
@@ -36,9 +38,10 @@ from .classify import DEFAULT_TOL, _locked, _scan_columns
 from .counting import dark_census, locked_dark_phases
 from .errors import DegenerateInputError, ResourceLimitError
 from .pulses import (
-    FORMAT_CHUNK,
     LaserField,
     _csv_chunks,
+    _json_number,
+    _text_rows,
     intensity_series,
     pulse_metrics,
     unlocked_intensity,
@@ -73,15 +76,6 @@ class _Records(NamedTuple):
     constants: dict
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_number(x: float) -> str:
-    """The JSON text of x rounded to 12 significant digits, as json.dumps writes it."""
-    text = repr(float(f"{x:.12g}"))
-    return _NON_FINITE.get(text, text)
-
-
 def _json_scalar(value) -> str:
     """A leaf's JSON text: integers exact, other reals through _json_number."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -89,32 +83,16 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def _odd_rows(column: np.ndarray) -> np.ndarray:
-    """A superset of the entries whose JSON number is not their '%.12g' text.
-
-    For a finite, normal x whose rounding y is not an integer, repr(y) has the
-    digits of '%.12g' and, as |y| < 1e12, the same notation.  The rest are
-    NaN, infinities, subnormals (whose repr can be shorter) and integers
-    (repr adds '.0'); an integer y is within 5e-12*|x| of x.
-    """
-    magnitude = np.abs(column)
-    with np.errstate(invalid="ignore"):  # inf - inf; NaN and inf rows are odd anyway
-        off_integer = np.abs(column - np.rint(column)) > 1e-11 * magnitude
-    return ~off_integer | (magnitude < 2.3e-308)
-
-
 def _table_chunks(table, indent: int) -> Iterator[str]:
     """The indent=2 JSON text of a 1-D float array or of _Records whose line
-    starts ``indent`` spaces in, FORMAT_CHUNK rows per %-template.
-
-    Every row is one template of literals and cells: a float cell is '%.12g'
-    unless _odd_rows flags its row, which is written from exact per-cell text.
-    """
+    starts ``indent`` spaces in, pulses.FORMAT_CHUNK rows per chunk from _text_rows:
+    every row is its literals, the JSON text of its float cells and its quoted
+    strings; a row's comma leads it, and the first row's is dropped."""
     pad = "\n" + " " * (indent + 2)
     if isinstance(table, np.ndarray):
-        lits, columns = [pad, ","], [table]
+        lits, columns = ["," + pad, ""], [table]
     else:
-        lits, columns, text = [], [], pad + "{"
+        lits, columns, text = [], [], "," + pad + "{"
         fields = table.columns | table.constants
         for n, key in enumerate(sorted(fields)):
             text += ("," if n else "") + pad + "  " + json.dumps(key) + ": "
@@ -123,41 +101,18 @@ def _table_chunks(table, indent: int) -> Iterator[str]:
                 column = table.columns[key]
                 if not isinstance(column, np.ndarray):
                     quoted = {v: json.dumps(v) for v in set(column)}
-                    column = [quoted[v] for v in column]
+                    column = np.array([quoted[v] for v in column], dtype="S")
                 columns.append(column)
                 text = ""
             else:
                 text += _json_scalar(fields[key])
-        lits.append(text + pad + "},")
-    lits = [lit.replace("%", "%%") for lit in lits]
-    rows, width = len(columns[0]), len(columns)
-    if rows == 0:
+        lits.append(text + pad + "}")
+    if len(columns[0]) == 0:
         yield "[]"
         return
-    floats = [j for j, c in enumerate(columns) if isinstance(c, np.ndarray)]
-    specs = ["%.12g" if j in floats else "%s" for j in range(width)]
-    plain = "".join(lit + spec for lit, spec in zip(lits, specs)) + lits[-1]
-    exact = "%s".join(lits)
-    yield "["
-    for lo in range(0, rows, FORMAT_CHUNK):
-        hi = min(lo + FORMAT_CHUNK, rows)
-        values = [None] * ((hi - lo) * width)
-        for j, column in enumerate(columns):
-            values[j::width] = column[lo:hi].tolist() if j in floats else column[lo:hi]
-        odd = np.zeros(hi - lo, dtype=bool)
-        for j in floats:
-            odd |= _odd_rows(columns[j][lo:hi])
-        if odd.any():
-            template = [plain] * (hi - lo)
-            for r in np.flatnonzero(odd).tolist():
-                template[r] = exact
-                for j in floats:
-                    values[r * width + j] = _json_number(values[r * width + j])
-            template = "".join(template)
-        else:
-            template = plain * (hi - lo)
-        text = template % tuple(values)
-        yield text[:-1] if hi == rows else text  # no comma after the last row
+    chunks = _text_rows(lits, columns, json=True)
+    yield "[" + next(chunks)[1:]
+    yield from chunks
     yield "\n" + " " * indent + "]"
 
 

@@ -8,6 +8,11 @@ a locked linear phase produces the Dirichlet-kernel envelope
 with peak ``E0 * m_total`` repeating every round-trip period
 ``tau = 2*pi/delta_omega``.  Breaking the phase lock (random per-mode
 phases) keeps the mean intensity but destroys the peaks.
+
+The writers' '%.12g' text comes from one vectorised kernel, _g12_cells,
+which the CSV rows here and the JSON tables of the CLI share: numpy writes
+every value whose 12-digit rounding it can prove exact, and Python's own
+formatting writes the rest.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import numpy as np
 from .errors import ResolutionError, ResourceLimitError
 
 SINGULARITY_EPS = 1e-12
+DIRICHLET_MAX_MODES = 2**53  # past it, modes*phase/2 keeps no digit of the phase
 SERIES_MAX_SAMPLES = 10_000_000  # samples per series, checked before allocating
-FORMAT_CHUNK = 4096  # rows formatted per pass; bounds the Python floats alive at once
+FORMAT_CHUNK = 4096  # rows formatted per pass; bounds the byte matrix of a pass
 FOLD_CHUNK = 1 << 16  # modes drawn and folded per pass by unlocked_intensity
 
 
@@ -69,8 +75,12 @@ def dirichlet(modes: int, phase):
 
     The phase is reduced to [-pi, pi) before halving, so the only removable
     singularity is at 0, where the limit is ``modes``.  For odd ``modes`` the
-    result is 2*pi-periodic; for even ``modes`` only its magnitude is.
+    result is 2*pi-periodic; for even ``modes`` only its magnitude is.  More
+    than DIRICHLET_MAX_MODES modes raise ValueError: the kernel would be a
+    rounding artefact, or NaN once modes*phase/2 overflows.
     """
+    if modes > DIRICHLET_MAX_MODES:  # compared exactly, as an int
+        raise ValueError("too many modes: the kernel would keep no digit of the phase")
     x = np.remainder(np.asarray(phase, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
     den = np.sin(0.5 * x)
     out = np.full(x.shape, float(modes))
@@ -191,7 +201,9 @@ class PulseMetrics:
 def pulse_metrics(series: IntensitySeries) -> PulseMetrics:
     """FWHM of the main lobe by linear interpolation of the half-max crossings.
 
-    The period is analytic (2*pi/delta_omega), not measured from the series.
+    The first period is read: the peak is the largest of its samples, and the
+    walk to each crossing wraps within it.  The period is analytic
+    (2*pi/delta_omega), not measured from the series.
     """
     meta = series.metadata
     if not meta.get("resolution_ok", False):
@@ -202,8 +214,7 @@ def pulse_metrics(series: IntensitySeries) -> PulseMetrics:
     period = 2.0 * math.pi / meta["delta_omega"]
     dt = period / samples
 
-    intensity = series.intensity
-    n = len(intensity)
+    intensity = series.intensity[:samples]
     peak_idx = int(np.argmax(intensity))
     peak = float(intensity[peak_idx])
     half = peak / 2.0
@@ -212,7 +223,7 @@ def pulse_metrics(series: IntensitySeries) -> PulseMetrics:
         # Walk away from the peak (wrapping) to the first dip below half-max.
         prev = peak
         for k in range(1, samples):
-            cur = float(intensity[(peak_idx + step * k) % n])
+            cur = float(intensity[(peak_idx + step * k) % samples])
             if cur < half:
                 return (k - 1) + (prev - half) / (prev - cur)
             prev = cur
@@ -222,14 +233,152 @@ def pulse_metrics(series: IntensitySeries) -> PulseMetrics:
     return PulseMetrics(fwhm=fwhm, period=period, duty_ratio=fwhm / period, peak=peak)
 
 
+# Tables of the '%.12g' kernel, indexed by a value's decimal exponent e (less
+# _EXP_MIN) or by groups of its digits.  A cell is 24 bytes, three little-endian
+# words: word 0 holds the sign at byte 2 and what precedes the digit string
+# ("0.000" for fixed e < 0; the first digit and the point in sci notation);
+# words 1-2 hold the digits, with the point after digit e (fixed e >= 0), or
+# digits 1-11 and the exponent (sci).  Unused bytes are NUL.
+CELL = 24
+_EXP_MIN, _EXP_MAX = -291, 290  # floor(log10|x|) for 1e-290 < |x| < 1e290
+_e = np.arange(_EXP_MIN, _EXP_MAX + 1)
+_SCALE = np.array([float(f"1e{11 - e}") for e in _e.tolist()])  # correctly rounded
+_d, _z = np.arange(48, 58), np.arange(10) == 0  # ASCII digits; which digit is zero
+# The 4 digits of 0..9999 as 4 bytes, and their trailing zeros
+_QUAD = (_d[:, None, None, None] | _d[:, None, None] << 8 | _d[:, None] << 16 | _d << 24)
+_QUAD = _QUAD.ravel().astype(np.uint64)
+_QUAD_TZ = _z * (1 + _z[:, None] * (1 + _z[:, None, None] * (1 + _z[:, None, None, None])))
+_QUAD_TZ = _QUAD_TZ.ravel().astype(np.intp)
+_KEEP_LO = np.array([(1 << 8 * min(k, 8)) - 1 for k in range(13)], dtype=np.uint64)
+_KEEP_HI = np.array([(1 << 8 * max(k - 8, 0)) - 1 for k in range(13)], dtype=np.uint64)
+_fixed, _sci, _ae = (_e >= 0) & (_e < 12), (_e < -4) | (_e >= 12), np.abs(_e)
+_KEEP_MIN = np.where(_fixed, _e + 1, 0)  # fixed notation keeps every integer digit
+_POINT_AT = np.where(_fixed, _e + 1, np.where(_sci, 1, 13))  # digits before the point
+_before = np.where(_fixed, _e + 1, 12)  # the digits that do not move for the point
+_SPLIT_LO, _SPLIT_HI = _KEEP_LO[_before], _KEEP_HI[_before]
+_DOT_LO = np.where(_fixed & (_e < 7), 0x2E << 8 * np.clip(_e + 1, 0, 7), 0).astype(np.uint64)
+_DOT_HI = np.where(_fixed & (_e >= 7), 0x2E << 8 * np.clip(_e - 7, 0, 7), 0).astype(np.uint64)
+_DOT_0 = np.where(_sci, 0x2E << 56, 0).astype(np.uint64)
+_PREFIX = np.select([_e == e for e in range(-4, 0)],
+                    [int.from_bytes(b"\0\0\0" + b"0.000"[: 1 - e], "little") for e in range(-4, 0)])
+_PREFIX = _PREFIX.astype(np.uint64)
+_FIRST = np.where(_sci, 0xFF, 0).astype(np.uint64)  # sci moves digit 0 to word 0
+_TAIL = np.where(_sci, (0x65 << 24) | (np.where(_e < 0, 0x2D, 0x2B) << 32)
+                 | np.where(_ae >= 100, _ae // 100 + 48, 0) << 40
+                 | (_ae // 10 % 10 + 48) << 48 | (_ae % 10 + 48) << 56, 0).astype(np.uint64)
+_MINUS = np.uint64(0x2D << 16)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x: float) -> str:
+    """The JSON text of x rounded to 12 significant digits, as json.dumps writes it."""
+    text = repr(float(f"{x:.12g}"))
+    return _NON_FINITE.get(text, text)
+
+
+def _g12_cells(values: np.ndarray, json: bool = False) -> np.ndarray:
+    """The '%.12g' text of every value (its _json_number text when ``json``) as
+    an (N, CELL) uint8 matrix, NUL where a cell holds no character.
+
+    The fast path takes a finite x with 1e-290 < |x| < 1e290.  With
+    e = floor(log10|x|) and y = |x| * 10**(11 - e) (a correctly rounded power
+    of ten), y is within about 2.3e-16*y < 2.5e-4 of the exact product, so
+    when |frac(y) - 0.5| > 1e-3, n = rint(y) is the exact product rounded to
+    an integer, with no tie.  When also 1e11 <= n < 1e12, n is the 12-digit
+    mantissa '%.12g' rounds x to and e is its exponent.  log10 errs by an ulp
+    or two, so e is off by one only within about 1e-13 (relative) of a power
+    of ten: one too low, y rounds to 1e12 and fails the range test; one too
+    high, y rounds to 1e11, and so does the exact 12-digit rounding of x.
+    The text follows the %g rules: fixed notation for -4 <= e < 12, else sci
+    with a signed exponent of at least 2 digits; trailing zeros are stripped,
+    and the point with them.  A value the fast path does not prove is written
+    per value, by '%.12g' (CSV) or _json_number.  JSON text differs from
+    '%.12g' only where the rounding is an integer (e >= the index of its last
+    nonzero digit: "121.0", "1000000000000.0"), so those are written by
+    _json_number too.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    a = np.abs(x)
+    ok = (a > 1e-290) & (a < 1e290)  # NaN compares false
+    a[~ok] = 1.0
+    i = np.floor(np.log10(a)).astype(np.intp) - _EXP_MIN
+    y = a * _SCALE[i]
+    n = np.rint(y)
+    ok &= (np.abs(y - np.floor(y) - 0.5) > 1e-3) & (n >= 1e11) & (n < 1e12)
+    n[~ok] = 1e11
+    n = n.astype(np.int64)
+    g0 = n // 10**8
+    g2 = n - g0 * 10**8
+    g1 = g2 // 10**4
+    g2 -= g1 * 10**4
+    lo = _QUAD[g0] | (_QUAD[g1] << np.uint64(32))  # digits 0-7, one byte each
+    hi = _QUAD[g2]  # digits 8-11
+    t0, t1, t2 = _QUAD_TZ[g0], _QUAD_TZ[g1], _QUAD_TZ[g2]
+    digits = 12 - (t2 + (t2 == 4) * (t1 + (t1 == 4) * t0))  # up to the last nonzero one
+    if json:
+        ok &= i + _EXP_MIN < digits - 1
+    keep = np.maximum(digits, _KEEP_MIN[i])
+    lo &= _KEEP_LO[keep]
+    hi &= _KEEP_HI[keep]
+    point = keep > _POINT_AT[i]
+    split_lo, split_hi = _SPLIT_LO[i], _SPLIT_HI[i]
+    moved = lo & ~split_lo  # the digits after the point shift one byte up
+    cells = np.empty((x.size, 3), dtype=np.uint64)
+    word = (lo & _FIRST[i]) << np.uint64(48)
+    word |= _PREFIX[i]
+    word |= np.where(x < 0, _MINUS, 0)
+    np.bitwise_or(word, np.where(point, _DOT_0[i], 0), out=cells[:, 0])
+    word = moved << np.uint64(8)
+    word |= lo & split_lo
+    word |= np.where(point, _DOT_LO[i], 0)
+    sci = _sci[i]
+    cells[:, 1] = np.where(sci, (lo >> np.uint64(8)) | (hi << np.uint64(56)), word)
+    word = (hi & split_hi) | ((hi & ~split_hi) << np.uint64(8)) | (moved >> np.uint64(56))
+    word |= np.where(point, _DOT_HI[i], 0)
+    cells[:, 2] = np.where(sci, (hi >> np.uint64(8)) | _TAIL[i], word)
+    cells = cells.view(np.uint8)
+    unproven = np.flatnonzero(~ok)
+    if unproven.size:
+        exact = _json_number if json else "%.12g".__mod__
+        text = [exact(v) for v in x[unproven].tolist()]
+        cells[unproven] = np.array(text, dtype=f"S{CELL}").view(np.uint8).reshape(-1, CELL)
+    return cells
+
+
+def _text_rows(lits, columns, json: bool = False) -> Iterator[str]:
+    """Rows ``lits[0] + column 0 + lits[1] + ... + lits[-1]`` up to the shortest
+    column, FORMAT_CHUNK rows per chunk.  A float column is written by
+    _g12_cells, every float column of a chunk in one call; any other column is
+    a bytes ('S') array, written as it is.  Each chunk is one byte matrix of
+    literals and NUL-padded cells, compacted once."""
+    rows = min(len(c) for c in columns)
+    floats = [j for j, c in enumerate(columns) if c.dtype.kind == "f"]
+    template, starts = bytearray(), []
+    for lit, column in zip(lits, columns):
+        template += lit.encode()
+        starts.append(len(template))
+        template += bytes(CELL if column.dtype.kind == "f" else column.itemsize)
+    template += lits[-1].encode()
+    matrix = np.tile(np.frombuffer(template, dtype=np.uint8), (min(rows, FORMAT_CHUNK), 1))
+    for lo in range(0, rows, FORMAT_CHUNK):
+        block = matrix[: min(FORMAT_CHUNK, rows - lo)]
+        hi = lo + len(block)
+        stacked = np.column_stack([columns[j][lo:hi] for j in floats])
+        cells = iter(_g12_cells(stacked, json).reshape(hi - lo, len(floats), CELL).swapaxes(0, 1))
+        for start, column in zip(starts, columns):
+            if column.dtype.kind == "f":
+                text = next(cells)
+            else:
+                text = column[lo:hi].view(np.uint8).reshape(hi - lo, column.itemsize)
+            block[:, start : start + text.shape[1]] = text
+        yield block.tobytes().translate(None, b"\0").decode()
+
+
 def _format_rows(*columns) -> Iterator[str]:
     """'%.12g' text of float columns, one comma-separated row per line up to the
-    shortest column, yielded FORMAT_CHUNK rows at a time through one %-template."""
-    rows = min(len(c) for c in columns)
-    line = ",".join(["%.12g"] * len(columns)) + "\n"
-    for lo in range(0, rows, FORMAT_CHUNK):
-        chunk = np.column_stack([c[lo : min(lo + FORMAT_CHUNK, rows)] for c in columns])
-        yield line * len(chunk) % tuple(chunk.ravel().tolist())
+    shortest column, yielded FORMAT_CHUNK rows at a time."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    return _text_rows(["", *[","] * (len(columns) - 1), "\n"], columns)
 
 
 def _csv_chunks(series: IntensitySeries) -> Iterator[str]:

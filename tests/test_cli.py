@@ -380,6 +380,15 @@ def test_pulse_train_past_the_sample_bound_exits_3(capsys, extra):
     assert captured.out == "" and "samples" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_locked_pulse_train_past_the_kernel_mode_bound_exits_2(capsys, fmt):
+    argv = ["pulse-train", "--n-side", str(2**60), "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: too many modes")
+    assert captured.err.count("\n") == 1
+
+
 def test_pulse_train_unlocked_past_the_mode_bound_exits_3(capsys):
     # 2e9 drawn phases would take about 110 GB; the refusal comes first.
     argv = ["pulse-train", "--n-side", "1000000000", "--unlocked", "--samples", "64"]

@@ -26,7 +26,13 @@ from brightdark.fock import (
     inner_product,
     tensor,
 )
-from brightdark.pulses import FORMAT_CHUNK, IntensitySeries, series_to_csv
+from brightdark.pulses import (
+    FORMAT_CHUNK,
+    IntensitySeries,
+    _g12_cells,
+    _json_number,
+    series_to_csv,
+)
 from brightdark.states import CoherentSpec, coherent_state, two_mode_bright, two_mode_dark
 
 finite_phases = st.floats(
@@ -498,3 +504,50 @@ def test_json_writer_matches_the_json_dumps_oracle(rows, x_values, y_values):
     points = [{"y": b, "label": s, "c": 2.5} for b, s in zip(y, labels)]
     want = json.dumps(_oracle_round_sig({**doc, "points": points}), sort_keys=True, indent=2)
     assert "".join(_json_chunks(doc)) == want
+
+
+# ---------------------------------------------------------------------------
+# The vectorised %.12g kernel against per-value formatting
+# ---------------------------------------------------------------------------
+
+def _kernel_values():
+    """Doubles where the kernel's proof is tight, and their negatives: every decimal
+    exponent from -330 to 308 with the neighbours of each power of ten; the doubles
+    nearest the ties (n + 0.5)*10**k of 12-digit rounding, and theirs; mantissas with
+    0 to 11 trailing zeros; both sides of the 1e-4 and 1e12 notation switches."""
+    rng = np.random.default_rng(14)
+    powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    mantissas = rng.integers(10**11, 10**12, 40).tolist()
+    ties = np.array([float(f"{n}5e{k}") for n in mantissas for k in range(-336, 297, 7)])
+    zeros = np.array([float(f"{n // 10**z * 10**z}e{k}") for z in range(12)
+                      for n in mantissas[:8] for k in range(-322, 297, 9)])
+    offsets = np.array([0.0, 1e-16, 1e-13, 4.9e-13, 5e-13, 5.1e-13, 1e-12, 5e-12, 1e-11])
+    switches = np.concatenate([c * (1 + offsets) for c in (1e-4, 1e12)] +
+                              [c * (1 - offsets) for c in (1e-4, 1e12)])
+    values = np.concatenate([powers, ties, zeros, switches])
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values, [math.nan, math.inf, -math.inf]])
+
+
+_KERNEL_VALUES = _kernel_values()
+
+
+@pytest.mark.parametrize("json_text", [False, True], ids=["csv", "json"])
+def test_g12_kernel_matches_per_value_text(json_text):
+    exact = _json_number if json_text else "%.12g".__mod__
+    cells = _g12_cells(_KERNEL_VALUES, json=json_text)
+    got = [bytes(cell).replace(b"\0", b"").decode() for cell in cells]
+    want = [exact(x) for x in _KERNEL_VALUES.tolist()]
+    assert [(x, g) for x, g, w in zip(_KERNEL_VALUES.tolist(), got, want) if g != w] == []
+
+
+@pytest.mark.parametrize("rows", row_counts)
+def test_writers_match_per_value_text_on_the_kernel_values(rows):
+    start = rows * 7 % len(_KERNEL_VALUES)  # each row count reads another stretch
+    t = np.roll(_KERNEL_VALUES, -start)[:rows]
+    intensity = np.roll(_KERNEL_VALUES, -start - 1)[:rows]
+    series = IntensitySeries(t, intensity, {})
+    assert series_to_csv(series) == _oracle_series_to_csv(series)
+    doc = {"t": t, "points": _Records({"y": intensity}, {})}
+    want = {"t": t, "points": [{"y": y} for y in intensity]}
+    assert "".join(_json_chunks(doc)) == json.dumps(_oracle_round_sig(want), sort_keys=True, indent=2)

@@ -1,6 +1,7 @@
 """Pulse-train envelope: closed form vs direct sum, metrics, unlocked phases."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +213,31 @@ def test_duty_ratio_shrinks_with_mode_count():
         series = intensity_series(field, samples_per_period=16 * field.m_total)
         duties.append(pulse_metrics(series).duty_ratio)
     assert all(a > b for a, b in zip(duties, duties[1:]))
+
+
+def test_metrics_read_the_first_period():
+    one = intensity_series(LaserField(n_side=5), samples_per_period=2048)
+    # Later periods that are not copies of the first do not move the metrics.
+    tail = np.concatenate([one.intensity[::-1] * 2.0, np.zeros(2048)])
+    longer = IntensitySeries(one.t, np.concatenate([one.intensity, tail]), one.metadata)
+    assert pulse_metrics(longer) == pulse_metrics(one)
+
+
+@pytest.mark.parametrize("modes", [2**53, 2**53 - 1], ids=["2**53", "2**53-1"])
+def test_dirichlet_at_the_mode_bound_runs(modes):
+    assert pulses.dirichlet(modes, 0.0) == float(modes)
+    assert math.isfinite(pulses.dirichlet(modes, 3.0))
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [2**53 + 1, int(1e46), int(sys.float_info.max), 10**400],
+    ids=["2**53+1", "1e46", "float-max", "10**400"],
+)
+def test_dirichlet_refuses_modes_past_the_bound(modes):
+    with pytest.raises(ValueError, match="too many modes") as info:
+        pulses.dirichlet(modes, 3.0)
+    assert not any(ch.isdigit() for ch in str(info.value))
 
 
 def test_metrics_refuse_underresolved_series():
