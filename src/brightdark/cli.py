@@ -6,7 +6,7 @@ computes.  Every command prints a JSON document ``{"command", "params",
 "results"}`` (the pulse-train command can emit CSV instead); numbers are
 rounded to 12 significant digits so identical invocations produce
 byte-identical output.  Float arrays and tables are written by the
-``pulses._g12_cells`` kernel, as json.dumps would write the rounded numbers.
+``pulses._g12_block`` kernel, as json.dumps would write the rounded numbers.
 A document is written in chunks as it is formatted, and ``--output``
 replaces its target only once the whole document is written.
 

@@ -9,7 +9,7 @@ with peak ``E0 * m_total`` repeating every round-trip period
 ``tau = 2*pi/delta_omega``.  Breaking the phase lock (random per-mode
 phases) keeps the mean intensity but destroys the peaks.
 
-The writers' '%.12g' text comes from one vectorised kernel, _g12_cells,
+The writers' '%.12g' text comes from one vectorised kernel, _g12_block,
 which the CSV rows here and the JSON tables of the CLI share: numpy writes
 every value whose 12-digit rounding it can prove exact, and Python's own
 formatting writes the rest.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -30,6 +31,7 @@ SINGULARITY_EPS = 1e-12
 DIRICHLET_MAX_MODES = 2**53  # past it, modes*phase/2 keeps no digit of the phase
 SERIES_MAX_SAMPLES = 10_000_000  # samples per series, checked before allocating
 FORMAT_CHUNK = 4096  # rows formatted per pass; bounds the byte matrix of a pass
+KERNEL_BLOCK = 8192  # values per pass of the '%.12g' kernel, the size of its work arrays
 FOLD_CHUNK = 1 << 16  # modes drawn and folded per pass by unlocked_intensity
 
 
@@ -244,11 +246,13 @@ _EXP_MIN, _EXP_MAX = -291, 290  # floor(log10|x|) for 1e-290 < |x| < 1e290
 _e = np.arange(_EXP_MIN, _EXP_MAX + 1)
 _SCALE = np.array([float(f"1e{11 - e}") for e in _e.tolist()])  # correctly rounded
 _d, _z = np.arange(48, 58), np.arange(10) == 0  # ASCII digits; which digit is zero
-# The 4 digits of 0..9999 as 4 bytes, and their trailing zeros
+# The 4 digits of 0..9999 as 4 bytes; how many of them are left once trailing
+# zeros go (0 for 0), and that length as counted from digit 4 or 8 of a mantissa
 _QUAD = (_d[:, None, None, None] | _d[:, None, None] << 8 | _d[:, None] << 16 | _d << 24)
 _QUAD = _QUAD.ravel().astype(np.uint64)
-_QUAD_TZ = _z * (1 + _z[:, None] * (1 + _z[:, None, None] * (1 + _z[:, None, None, None])))
-_QUAD_TZ = _QUAD_TZ.ravel().astype(np.intp)
+_QUAD_LEN = _z * (1 + _z[:, None] * (1 + _z[:, None, None] * (1 + _z[:, None, None, None])))
+_QUAD_LEN = (4 - _QUAD_LEN.ravel()).astype(np.uint8)
+_QUAD_LEN_4, _QUAD_LEN_8 = (np.where(_QUAD_LEN, _QUAD_LEN + k, 0).astype(np.uint8) for k in (4, 8))
 _KEEP_LO = np.array([(1 << 8 * min(k, 8)) - 1 for k in range(13)], dtype=np.uint64)
 _KEEP_HI = np.array([(1 << 8 * max(k - 8, 0)) - 1 for k in range(13)], dtype=np.uint64)
 _fixed, _sci, _ae = (_e >= 0) & (_e < 12), (_e < -4) | (_e >= 12), np.abs(_e)
@@ -276,81 +280,165 @@ def _json_number(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
+class _KernelWork:
+    """The arrays of _g12_block, KERNEL_BLOCK values each: one set per thread,
+    made on the thread's first call to _kernel_work.
+
+    The kernel keeps its input, its output and every intermediate in them.
+    Some twenty arrays allocated per pass would be handed back to the system
+    after each call and faulted in again on the next, at a cost that rises
+    and falls with the load on the machine.  _text_rows copies the cells out
+    before it yields, so writers interleaved in one thread share them safely.
+    """
+
+    def __init__(self):
+        self.values = np.empty(KERNEL_BLOCK)
+        self.cells = np.empty((KERNEL_BLOCK, 3), dtype=np.uint64)
+        self.real = np.empty((2, KERNEL_BLOCK))
+        self.int = np.empty((5, KERNEL_BLOCK), dtype=np.int64)
+        self.word = np.empty((5, KERNEL_BLOCK), dtype=np.uint64)
+        self.flag = np.empty((4, KERNEL_BLOCK), dtype=bool)
+        self.byte = np.empty((2, KERNEL_BLOCK), dtype=np.uint8)
+
+
+_THREAD = threading.local()
+
+
+def _kernel_work() -> _KernelWork:
+    """This thread's kernel arrays; a process that never formats a float makes none."""
+    try:
+        return _THREAD.work
+    except AttributeError:
+        _THREAD.work = _KernelWork()
+        return _THREAD.work
+
+
 def _g12_cells(values: np.ndarray, json: bool = False) -> np.ndarray:
     """The '%.12g' text of every value (its _json_number text when ``json``) as
-    an (N, CELL) uint8 matrix, NUL where a cell holds no character.
+    an (N, CELL) uint8 matrix, NUL where a cell holds no character."""
+    x = np.asarray(values, dtype=float).ravel()
+    cells = np.empty((x.size, CELL), dtype=np.uint8)
+    work = _kernel_work()
+    for lo in range(0, x.size, KERNEL_BLOCK):
+        k = min(KERNEL_BLOCK, x.size - lo)
+        work.values[:k] = x[lo : lo + k]
+        _g12_block(work, k, json)
+        cells[lo : lo + k] = work.cells[:k].view(np.uint8)
+    return cells
+
+
+def _g12_block(work: _KernelWork, k: int, json: bool) -> None:
+    """Write the cells of the k values ``work.values[:k]`` into ``work.cells[:k]``,
+    three uint64 words each (see CELL).
 
     The fast path takes a finite x with 1e-290 < |x| < 1e290.  With
     e = floor(log10|x|) and y = |x| * 10**(11 - e) (a correctly rounded power
     of ten), y is within about 2.3e-16*y < 2.5e-4 of the exact product, so
-    when |frac(y) - 0.5| > 1e-3, n = rint(y) is the exact product rounded to
-    an integer, with no tie.  When also 1e11 <= n < 1e12, n is the 12-digit
-    mantissa '%.12g' rounds x to and e is its exponent.  log10 errs by an ulp
-    or two, so e is off by one only within about 1e-13 (relative) of a power
-    of ten: one too low, y rounds to 1e12 and fails the range test; one too
-    high, y rounds to 1e11, and so does the exact 12-digit rounding of x.
-    The text follows the %g rules: fixed notation for -4 <= e < 12, else sci
-    with a signed exponent of at least 2 digits; trailing zeros are stripped,
-    and the point with them.  A value the fast path does not prove is written
-    per value, by '%.12g' (CSV) or _json_number.  JSON text differs from
-    '%.12g' only where the rounding is an integer (e >= the index of its last
-    nonzero digit: "121.0", "1000000000000.0"), so those are written by
-    _json_number too.
+    when |y - n| < 0.499 for n = rint(y), the exact product is within
+    0.49925 of n: n is that product rounded to an integer, with no tie.  When
+    also 1e11 <= n < 1e12, n is the 12-digit mantissa '%.12g' rounds x to and
+    e is its exponent.  log10 errs by an ulp or two, so e is off by one only
+    within about 1e-13 (relative) of a power of ten: one too low, y rounds to
+    1e12 and fails the range test; one too high, y rounds to 1e11, and so
+    does the exact 12-digit rounding of x.  The text follows the %g rules:
+    fixed notation for -4 <= e < 12, else sci with a signed exponent of at
+    least 2 digits; trailing zeros are stripped, and the point with them.  A
+    value the fast path does not prove is written per value, by '%.12g' (CSV)
+    or _json_number.  JSON text differs from '%.12g' only where the rounding
+    is an integer (e >= the index of its last nonzero digit: "121.0",
+    "1000000000000.0"), so those are written by _json_number too.
+
+    Every step writes into the work arrays; the table lookups take
+    mode="clip" only because that spares np.take a buffer (every index is
+    in range).
     """
-    x = np.asarray(values, dtype=float).ravel()
-    a = np.abs(x)
-    ok = (a > 1e-290) & (a < 1e290)  # NaN compares false
-    a[~ok] = 1.0
-    i = np.floor(np.log10(a)).astype(np.intp) - _EXP_MIN
-    y = a * _SCALE[i]
-    n = np.rint(y)
-    ok &= (np.abs(y - np.floor(y) - 0.5) > 1e-3) & (n >= 1e11) & (n < 1e12)
-    n[~ok] = 1e11
-    n = n.astype(np.int64)
-    g0 = n // 10**8
-    g2 = n - g0 * 10**8
-    g1 = g2 // 10**4
-    g2 -= g1 * 10**4
-    lo = _QUAD[g0] | (_QUAD[g1] << np.uint64(32))  # digits 0-7, one byte each
-    hi = _QUAD[g2]  # digits 8-11
-    t0, t1, t2 = _QUAD_TZ[g0], _QUAD_TZ[g1], _QUAD_TZ[g2]
-    digits = 12 - (t2 + (t2 == 4) * (t1 + (t1 == 4) * t0))  # up to the last nonzero one
+    x, cells = work.values[:k], work.cells[:k]
+    a, y = work.real[:, :k]
+    i, j, g0, g1, g2 = work.int[:, :k]
+    lo, hi, w, v, moved = work.word[:, :k]
+    ok, t, point, sci = work.flag[:, :k]
+    digits, d = work.byte[:, :k]
+
+    def take(table, index, out):
+        return table.take(index, out=out, mode="clip")
+
+    np.abs(x, out=a)
+    np.greater(a, 1e-290, out=ok)
+    ok &= np.less(a, 1e290, out=t)  # NaN compares false
+    np.copyto(a, 1.0, where=np.logical_not(ok, out=t))
+    np.floor(np.log10(a, out=y), out=y)
+    np.copyto(i, y, casting="unsafe")
+    i -= _EXP_MIN
+    take(_SCALE, i, y)
+    y *= a
+    n = np.rint(y, out=a)  # |x| is spent
+    y -= n
+    ok &= np.less(np.abs(y, out=y), 0.499, out=t)  # n is y's integer, with no tie
+    ok &= np.greater_equal(n, 1e11, out=t)
+    ok &= np.less(n, 1e12, out=t)
+    np.copyto(g2, np.clip(n, 1e11, 1e12 - 1, out=n), casting="unsafe")
+    np.divmod(g2, 10**8, out=(g0, g2))
+    np.divmod(g2, 10**4, out=(g1, g2))  # the mantissa's digits 0-3, 4-7 and 8-11
+    take(_QUAD, g1, lo)
+    lo <<= 32
+    lo |= take(_QUAD, g0, w)  # digits 0-7, one byte each
+    take(_QUAD, g2, hi)  # digits 8-11
+    take(_QUAD_LEN_8, g2, digits)  # up to the last nonzero one
+    np.maximum(digits, take(_QUAD_LEN_4, g1, d), out=digits)
+    np.maximum(digits, take(_QUAD_LEN, g0, d), out=digits)
     if json:
-        ok &= i + _EXP_MIN < digits - 1
-    keep = np.maximum(digits, _KEEP_MIN[i])
-    lo &= _KEEP_LO[keep]
-    hi &= _KEEP_HI[keep]
-    point = keep > _POINT_AT[i]
-    split_lo, split_hi = _SPLIT_LO[i], _SPLIT_HI[i]
-    moved = lo & ~split_lo  # the digits after the point shift one byte up
-    cells = np.empty((x.size, 3), dtype=np.uint64)
-    word = (lo & _FIRST[i]) << np.uint64(48)
-    word |= _PREFIX[i]
-    word |= np.where(x < 0, _MINUS, 0)
-    np.bitwise_or(word, np.where(point, _DOT_0[i], 0), out=cells[:, 0])
-    word = moved << np.uint64(8)
-    word |= lo & split_lo
-    word |= np.where(point, _DOT_LO[i], 0)
-    sci = _sci[i]
-    cells[:, 1] = np.where(sci, (lo >> np.uint64(8)) | (hi << np.uint64(56)), word)
-    word = (hi & split_hi) | ((hi & ~split_hi) << np.uint64(8)) | (moved >> np.uint64(56))
-    word |= np.where(point, _DOT_HI[i], 0)
-    cells[:, 2] = np.where(sci, (hi >> np.uint64(8)) | _TAIL[i], word)
-    cells = cells.view(np.uint8)
-    unproven = np.flatnonzero(~ok)
-    if unproven.size:
+        ok &= np.greater(digits, np.add(i, _EXP_MIN + 1, out=j), out=t)
+    keep = np.maximum(digits, take(_KEEP_MIN, i, j), out=j)
+    lo &= take(_KEEP_LO, keep, w)
+    hi &= take(_KEEP_HI, keep, w)
+    np.greater(keep, take(_POINT_AT, i, g0), out=point)
+    take(_sci, i, sci)
+
+    # Word 0: the sign, the prefix, and in sci notation digit 0 and the point.
+    np.bitwise_and(lo, take(_FIRST, i, w), out=w)
+    w <<= 48
+    w |= take(_PREFIX, i, v)
+    w |= np.multiply(np.less(x, 0, out=t), _MINUS, out=v)
+    w |= np.multiply(take(_DOT_0, i, v), point, out=v)
+    np.copyto(cells[:, 0], w)
+    # Word 1: in fixed notation the digits before the point, the point, and
+    # the digits after it moved one byte up; in sci notation digits 1-8.
+    np.bitwise_and(lo, take(_SPLIT_LO, i, v), out=w)
+    np.bitwise_xor(lo, w, out=moved)
+    w |= np.left_shift(moved, 8, out=v)
+    w |= np.multiply(take(_DOT_LO, i, v), point, out=v)
+    np.right_shift(lo, 8, out=v)
+    v |= np.left_shift(hi, 56, out=lo)
+    np.copyto(w, v, where=sci)
+    np.copyto(cells[:, 1], w)
+    # Word 2: the same for digits 8-11 and the digit moved out of word 1; in
+    # sci notation digits 9-11 and the exponent.
+    np.bitwise_and(hi, take(_SPLIT_HI, i, v), out=w)
+    np.bitwise_xor(hi, w, out=v)
+    v <<= 8
+    w |= v
+    moved >>= 56
+    w |= moved
+    w |= np.multiply(take(_DOT_HI, i, v), point, out=v)
+    hi >>= 8
+    hi |= take(_TAIL, i, v)
+    np.copyto(w, hi, where=sci)
+    np.copyto(cells[:, 2], w)
+
+    if not ok.all():
+        unproven = np.flatnonzero(~ok)
         exact = _json_number if json else "%.12g".__mod__
-        text = [exact(v) for v in x[unproven].tolist()]
-        cells[unproven] = np.array(text, dtype=f"S{CELL}").view(np.uint8).reshape(-1, CELL)
-    return cells
+        text = [exact(value) for value in x[unproven].tolist()]
+        cells[unproven] = np.array(text, dtype=f"S{CELL}").view(np.uint64).reshape(-1, 3)
 
 
 def _text_rows(lits, columns, json: bool = False) -> Iterator[str]:
     """Rows ``lits[0] + column 0 + lits[1] + ... + lits[-1]`` up to the shortest
     column, FORMAT_CHUNK rows per chunk.  A float column is written by
-    _g12_cells, every float column of a chunk in one call; any other column is
-    a bytes ('S') array, written as it is.  Each chunk is one byte matrix of
-    literals and NUL-padded cells, compacted once."""
+    _g12_block, the float columns of a run of rows together in the kernel's
+    work arrays; any other column is a bytes ('S') array, written as it is.
+    Each chunk is one byte matrix of literals and NUL-padded cells, compacted
+    once."""
     rows = min(len(c) for c in columns)
     floats = [j for j, c in enumerate(columns) if c.dtype.kind == "f"]
     template, starts = bytearray(), []
@@ -360,17 +448,25 @@ def _text_rows(lits, columns, json: bool = False) -> Iterator[str]:
         template += bytes(CELL if column.dtype.kind == "f" else column.itemsize)
     template += lits[-1].encode()
     matrix = np.tile(np.frombuffer(template, dtype=np.uint8), (min(rows, FORMAT_CHUNK), 1))
+    run = max(KERNEL_BLOCK // max(len(floats), 1), 1)  # rows per pass of the kernel
     for lo in range(0, rows, FORMAT_CHUNK):
         block = matrix[: min(FORMAT_CHUNK, rows - lo)]
         hi = lo + len(block)
-        stacked = np.column_stack([columns[j][lo:hi] for j in floats])
-        cells = iter(_g12_cells(stacked, json).reshape(hi - lo, len(floats), CELL).swapaxes(0, 1))
         for start, column in zip(starts, columns):
-            if column.dtype.kind == "f":
-                text = next(cells)
-            else:
+            if column.dtype.kind != "f":
                 text = column[lo:hi].view(np.uint8).reshape(hi - lo, column.itemsize)
-            block[:, start : start + text.shape[1]] = text
+                block[:, start : start + column.itemsize] = text
+        for a in range(lo, hi, run):
+            b = min(a + run, hi)
+            k = (b - a) * len(floats)
+            work = _kernel_work()  # the running thread's, should the writer change threads
+            values = work.values[:k].reshape(b - a, len(floats))
+            for f, j in enumerate(floats):
+                values[:, f] = columns[j][a:b]
+            _g12_block(work, k, json)
+            cells = work.cells[:k].view(np.uint8).reshape(b - a, len(floats), CELL)
+            for f, j in enumerate(floats):
+                block[a - lo : b - lo, starts[j] : starts[j] + CELL] = cells[:, f]
         yield block.tobytes().translate(None, b"\0").decode()
 
 

@@ -322,6 +322,35 @@ def test_csv_export_headers_and_rows():
     assert float(first[1]) == pytest.approx(25.0)
 
 
+def _random_series(seed, rows):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 10.0, rows))
+    return IntensitySeries(t, rng.lognormal(0.0, 8.0, rows), {"seed": seed})
+
+
+def test_csv_writers_interleaved_in_one_thread_keep_their_own_text():
+    # The kernel's work arrays are shared by every writer of a thread: a
+    # writer must be done with them before it yields a chunk.
+    rows = 2 * pulses.FORMAT_CHUNK + 5
+    series = [_random_series(seed, rows) for seed in (1, 2)]
+    want = [series_to_csv(s) for s in series]
+    writers = [pulses._csv_chunks(s) for s in series]
+    got = ["", ""]
+    for chunks in zip(*writers):
+        for n, chunk in enumerate(chunks):
+            got[n] += chunk
+    assert got == want
+
+
+def test_csv_writers_in_two_threads_match_one_thread():
+    from concurrent.futures import ThreadPoolExecutor
+
+    series = [_random_series(seed, 3 * pulses.FORMAT_CHUNK) for seed in range(6)]
+    want = [series_to_csv(s) for s in series]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(series_to_csv, series)) == want
+
+
 def test_csv_header_follows_the_metadata_order():
     metadata = {"periods": 1, "note": "hand-built", "kind": "locked", "seed": 4}
     series = IntensitySeries(np.array([0.0, 0.5]), np.array([2.0, 1.0]), metadata)
