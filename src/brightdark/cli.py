@@ -39,6 +39,7 @@ from .counting import dark_census, locked_dark_phases
 from .errors import DegenerateInputError, ResourceLimitError
 from .pulses import (
     LaserField,
+    _Column,
     _csv_chunks,
     _json_number,
     _text_rows,
@@ -84,12 +85,12 @@ def _json_scalar(value) -> str:
 
 
 def _table_chunks(table, indent: int) -> Iterator[str]:
-    """The indent=2 JSON text of a 1-D float array or of _Records whose line
+    """The indent=2 JSON text of a 1-D float array, a _Column or _Records whose line
     starts ``indent`` spaces in, pulses.FORMAT_CHUNK rows per chunk from _text_rows:
     every row is its literals, the JSON text of its float cells and its quoted
     strings; a row's comma leads it, and the first row's is dropped."""
     pad = "\n" + " " * (indent + 2)
-    if isinstance(table, np.ndarray):
+    if not isinstance(table, _Records):
         lits, columns = ["," + pad, ""], [table]
     else:
         lits, columns, text = [], [], "," + pad + "{"
@@ -118,9 +119,9 @@ def _table_chunks(table, indent: int) -> Iterator[str]:
 
 def _json_chunks(value, indent: int = 0) -> Iterator[str]:
     """``json.dumps(value, sort_keys=True, indent=2)``, numbers rounded to 12 significant
-    digits, for a container ``indent`` spaces in.  1-D float arrays and _Records stream
-    from _table_chunks, and text is yielded only at their boundaries."""
-    if isinstance(value, _Records) or (
+    digits, for a container ``indent`` spaces in.  1-D float arrays, _Column and _Records
+    stream from _table_chunks, and text is yielded only at their boundaries."""
+    if isinstance(value, (_Records, _Column)) or (
         isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 1
     ):
         yield from _table_chunks(value, indent)
@@ -132,7 +133,7 @@ def _json_chunks(value, indent: int = 0) -> Iterator[str]:
     pad, text = "\n" + " " * (indent + 2), brackets[0]
     for head, item in items:
         text += pad + head
-        if isinstance(item, (dict, list, tuple, np.ndarray)):
+        if isinstance(item, (dict, list, tuple, np.ndarray, _Column)):
             parts = _json_chunks(item, indent + 2)
             text += next(parts)  # a nested value's first and last chunks join the text around it
             for part in parts:
@@ -196,6 +197,8 @@ def cmd_pulse_train(args) -> None:
     )
     if args.unlocked:
         series = unlocked_intensity(field, args.seed, args.samples, args.periods)
+        # The mean of the whole series, which builds it: the mean of one period
+        # can differ from it in the last bits.
         with np.errstate(over="ignore"):  # an overflowing sum is refused below
             mean = float(np.mean(series.intensity))
         if not math.isfinite(mean):
@@ -214,11 +217,12 @@ def cmd_pulse_train(args) -> None:
         params = _params(args, "format", "seed")
         if args.unlocked:
             params["seed"] = args.seed
+        t, intensity = series._columns()
         results = {
             "metadata": series.metadata,
             "metrics": metrics,
-            "t_prime": series.t,
-            "intensity": series.intensity,
+            "t_prime": t,
+            "intensity": intensity,
         }
         _emit_json("pulse-train", params, results, args.output)
 

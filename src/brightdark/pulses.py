@@ -9,6 +9,11 @@ with peak ``E0 * m_total`` repeating every round-trip period
 ``tau = 2*pi/delta_omega``.  Breaking the phase lock (random per-mode
 phases) keeps the mean intensity but destroys the peaks.
 
+Both series are exactly periodic, so an IntensitySeries of the library holds
+one period of S samples and the period count P, never S*P values: its ``t``
+and ``intensity`` arrays are built on first read and kept, and the writers
+take their rows from the period a chunk at a time.
+
 The writers' '%.12g' text comes from one vectorised kernel, _g12_block,
 which the CSV rows here and the JSON tables of the CLI share: numpy writes
 every value whose 12-digit rounding it can prove exact, and Python's own
@@ -21,7 +26,7 @@ import math
 import sys
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,11 +84,15 @@ def dirichlet(modes: int, phase):
     singularity is at 0, where the limit is ``modes``.  For odd ``modes`` the
     result is 2*pi-periodic; for even ``modes`` only its magnitude is.  More
     than DIRICHLET_MAX_MODES modes raise ValueError: the kernel would be a
-    rounding artefact, or NaN once modes*phase/2 overflows.
+    rounding artefact, or NaN once modes*phase/2 overflows.  So does a NaN or
+    infinite phase, which would fail the singularity test and read as the peak.
     """
     if modes > DIRICHLET_MAX_MODES:  # compared exactly, as an int
         raise ValueError("too many modes: the kernel would keep no digit of the phase")
-    x = np.remainder(np.asarray(phase, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
+    x = np.asarray(phase, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("phase must be finite")
+    x = np.remainder(x + math.pi, 2.0 * math.pi) - math.pi
     den = np.sin(0.5 * x)
     out = np.full(x.shape, float(modes))
     np.divide(np.sin(0.5 * modes * x), den, out=out, where=np.abs(den) >= SINGULARITY_EPS)
@@ -112,17 +121,88 @@ def amplitude_direct(field_: LaserField, t):
     return out
 
 
-@dataclass(frozen=True)
+def _grid(lo: int, hi: int, step: float) -> np.ndarray:
+    """The sample times k*step of k = lo..hi-1.  A float arange gives the bits of an
+    int one times step, without a cast that costs more than the product."""
+    t = np.arange(lo, hi, dtype=float)
+    t *= step
+    return t
+
+
+class _Column:
+    """A float column of ``size`` values whose slice [lo:hi] is ``rows(lo, hi)``:
+    what the writers read of a periodic series, one chunk of rows at a time."""
+
+    dtype = np.dtype(float)
+
+    def __init__(self, size: int, rows):
+        self._size, self._rows = size, rows
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        lo, hi, _ = index.indices(self._size)
+        return self._rows(lo, hi)
+
+
 class IntensitySeries:
-    t: np.ndarray
-    intensity: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    """Samples ``intensity`` at times ``t``, with the parameters that made them as
+    ``metadata``, in the order of the CSV header.
+
+    ``IntensitySeries(t, intensity, metadata)`` holds the arrays it is given.
+    The series of intensity_series and unlocked_intensity hold one period of S
+    samples and the period count P instead (_periodic): ``t`` and ``intensity``
+    are built, S*P values each, on first read and kept.  The writers read
+    either form through _columns, a chunk of rows at a time.
+    """
+
+    def __init__(self, t, intensity, metadata=None):
+        self._t, self._intensity = t, intensity
+        self.metadata = {} if metadata is None else metadata
+        self._period = None
+
+    @classmethod
+    def _periodic(cls, period: np.ndarray, periods: int, step: float, metadata: dict):
+        """``periods`` copies of ``period``, sampled every ``step`` from t = 0."""
+        series = cls(None, None, metadata)
+        series._period, series._periods, series._step = period, periods, step
+        return series
+
+    @property
+    def t(self):
+        if self._t is None:
+            self._t = _grid(0, len(self._period) * self._periods, self._step)
+        return self._t
+
+    @property
+    def intensity(self):
+        if self._intensity is None:
+            self._intensity = np.tile(self._period, self._periods)
+        return self._intensity
+
+    def _columns(self):
+        """(t, intensity) as float columns sliced [lo:hi] by the writers: the arrays
+        held, or columns that build each slice from the period."""
+        if self._period is None:
+            return np.asarray(self._t, dtype=float), np.asarray(self._intensity, dtype=float)
+        size = len(self._period) * self._periods
+        return _Column(size, lambda lo, hi: _grid(lo, hi, self._step)), _Column(size, self._repeat)
+
+    def _repeat(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo..hi-1 of the period repeated: a view of the period unless
+        they wrap, for a gather costs more than the chunk's copy into the writer."""
+        k = lo % len(self._period)
+        if k + hi - lo <= len(self._period):
+            return self._period[k : k + hi - lo]
+        return self._period.take(np.arange(lo, hi), mode="wrap")
 
 
-def _tiled(field_: LaserField, t: np.ndarray, one_period: np.ndarray, kind, seed):
-    """The series on grid ``t``: one period's intensity repeated over every period,
-    with the series' parameters as metadata, in the order of the CSV header."""
-    samples_per_period, periods = len(one_period), len(t) // len(one_period)
+def _periodic_series(field_: LaserField, one_period: np.ndarray, periods: int, step: float,
+                     kind, seed) -> IntensitySeries:
+    """One period's intensity repeated ``periods`` times, with the series' parameters
+    as metadata, in the order of the CSV header."""
+    samples_per_period = len(one_period)
     resolution_ok = samples_per_period >= 4 * field_.m_total
     meta = {
         "kind": kind,
@@ -142,33 +222,33 @@ def _tiled(field_: LaserField, t: np.ndarray, one_period: np.ndarray, kind, seed
             f"samples_per_period={samples_per_period} under-resolves the main "
             f"lobe; need >= {4 * field_.m_total}"
         )
-    return IntensitySeries(t, np.tile(one_period, periods), meta)
+    return IntensitySeries._periodic(one_period, periods, step, meta)
 
 
-def _time_grid(field_: LaserField, samples_per_period: int, periods: int) -> np.ndarray:
+def _time_step(field_: LaserField, samples_per_period: int, periods: int) -> float:
+    """The grid's time step, once the grid is known to fit the bounds."""
     if samples_per_period < 2:
         raise ValueError(f"samples_per_period must be >= 2, got {samples_per_period}")
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    count = samples_per_period * periods
-    if count > SERIES_MAX_SAMPLES:
+    if samples_per_period * periods > SERIES_MAX_SAMPLES:
         raise ResourceLimitError(
             f"{samples_per_period} samples x {periods} periods exceed "
             f"{SERIES_MAX_SAMPLES} samples"
         )
     if not math.isfinite(field_.period * periods):
         raise ValueError(f"{periods} periods of {field_.period} overflow the time grid")
-    return np.arange(count) * (field_.period / samples_per_period)
+    return field_.period / samples_per_period
 
 
 def intensity_series(
     field_: LaserField, samples_per_period: int, periods: int = 1
 ) -> IntensitySeries:
     """Locked-phase intensity A(t)^2 on a uniform grid.  The kernel of odd m_total is
-    2*pi-periodic, so one period is evaluated and tiled: the values are exactly periodic."""
-    t = _time_grid(field_, samples_per_period, periods)
-    amp = amplitude_closed(field_, t[:samples_per_period])
-    return _tiled(field_, t, amp**2, "locked", None)
+    2*pi-periodic, so one period is evaluated and repeated: the values are exactly periodic."""
+    step = _time_step(field_, samples_per_period, periods)
+    amp = amplitude_closed(field_, _grid(0, samples_per_period, step))
+    return _periodic_series(field_, amp**2, periods, step, "locked", None)
 
 
 def unlocked_intensity(
@@ -177,11 +257,11 @@ def unlocked_intensity(
     """Intensity with the phase lock broken: per-mode phases drawn once from a
     seeded generator, then evaluated deterministically over the grid.  Mode m
     adds exp(2*pi*i*m*k/S) at sample k, which depends only on m mod S, so the
-    modes fold into S bins and one inverse FFT gives one period, which is tiled.
+    modes fold into S bins and one inverse FFT gives one period, which is repeated.
     The phases are drawn and folded FOLD_CHUNK modes at a time, in mode order."""
     if field_.m_total > SERIES_MAX_SAMPLES:
         raise ResourceLimitError(f"{field_.m_total} modes exceed {SERIES_MAX_SAMPLES} modes")
-    t = _time_grid(field_, samples_per_period, periods)
+    step = _time_step(field_, samples_per_period, periods)
     rng = np.random.default_rng(seed)
     bins = np.zeros(samples_per_period, dtype=complex)
     for lo in range(-field_.n_side, field_.n_side + 1, FOLD_CHUNK):
@@ -189,7 +269,7 @@ def unlocked_intensity(
         phases = rng.uniform(0.0, 2.0 * math.pi, m.size)
         np.add.at(bins, m % samples_per_period, np.exp(1j * phases))
     amp = field_.e0 * samples_per_period * np.fft.ifft(bins)
-    return _tiled(field_, t, np.abs(amp) ** 2, "unlocked", seed)
+    return _periodic_series(field_, np.abs(amp) ** 2, periods, step, "unlocked", seed)
 
 
 @dataclass(frozen=True)
@@ -211,12 +291,13 @@ def pulse_metrics(series: IntensitySeries) -> PulseMetrics:
     if not meta.get("resolution_ok", False):
         raise ResolutionError(meta.get("warning", "series under-resolved"))
     samples = meta["samples_per_period"]
-    if len(series.intensity) < samples:
+    _, column = series._columns()
+    if len(column) < samples:
         raise ResolutionError("series shorter than one period")
     period = 2.0 * math.pi / meta["delta_omega"]
     dt = period / samples
 
-    intensity = series.intensity[:samples]
+    intensity = column[:samples]
     peak_idx = int(np.argmax(intensity))
     peak = float(intensity[peak_idx])
     half = peak / 2.0
@@ -434,7 +515,8 @@ def _g12_block(work: _KernelWork, k: int, json: bool) -> None:
 
 def _text_rows(lits, columns, json: bool = False) -> Iterator[str]:
     """Rows ``lits[0] + column 0 + lits[1] + ... + lits[-1]`` up to the shortest
-    column, FORMAT_CHUNK rows per chunk.  A float column is written by
+    column, FORMAT_CHUNK rows per chunk; a column is an array or a _Column, and
+    each is sliced once per chunk.  A float column is written by
     _g12_block, the float columns of a run of rows together in the kernel's
     work arrays; any other column is a bytes ('S') array, written as it is.
     Each chunk is one byte matrix of literals and NUL-padded cells, compacted
@@ -451,36 +533,30 @@ def _text_rows(lits, columns, json: bool = False) -> Iterator[str]:
     run = max(KERNEL_BLOCK // max(len(floats), 1), 1)  # rows per pass of the kernel
     for lo in range(0, rows, FORMAT_CHUNK):
         block = matrix[: min(FORMAT_CHUNK, rows - lo)]
-        hi = lo + len(block)
-        for start, column in zip(starts, columns):
+        chunk = [column[lo : lo + len(block)] for column in columns]
+        for start, column in zip(starts, chunk):
             if column.dtype.kind != "f":
-                text = column[lo:hi].view(np.uint8).reshape(hi - lo, column.itemsize)
+                text = column.view(np.uint8).reshape(len(block), column.itemsize)
                 block[:, start : start + column.itemsize] = text
-        for a in range(lo, hi, run):
-            b = min(a + run, hi)
+        for a in range(0, len(block), run):
+            b = min(a + run, len(block))
             k = (b - a) * len(floats)
             work = _kernel_work()  # the running thread's, should the writer change threads
             values = work.values[:k].reshape(b - a, len(floats))
             for f, j in enumerate(floats):
-                values[:, f] = columns[j][a:b]
+                values[:, f] = chunk[j][a:b]
             _g12_block(work, k, json)
             cells = work.cells[:k].view(np.uint8).reshape(b - a, len(floats), CELL)
             for f, j in enumerate(floats):
-                block[a - lo : b - lo, starts[j] : starts[j] + CELL] = cells[:, f]
+                block[a:b, starts[j] : starts[j] + CELL] = cells[:, f]
         yield block.tobytes().translate(None, b"\0").decode()
 
 
-def _format_rows(*columns) -> Iterator[str]:
-    """'%.12g' text of float columns, one comma-separated row per line up to the
-    shortest column, yielded FORMAT_CHUNK rows at a time."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    return _text_rows(["", *[","] * (len(columns) - 1), "\n"], columns)
-
-
 def _csv_chunks(series: IntensitySeries) -> Iterator[str]:
-    """series_to_csv's text: a comment line per metadata item, in order, then _format_rows'."""
+    """series_to_csv's text: a comment line per metadata item, in order, then one
+    '%.12g' row per sample, FORMAT_CHUNK rows at a time up to the shorter column."""
     yield "".join(f"# {k}={v}\n" for k, v in series.metadata.items()) + "t_prime,intensity\n"
-    yield from _format_rows(series.t, series.intensity)
+    yield from _text_rows(["", ",", "\n"], series._columns())
 
 
 def series_to_csv(series: IntensitySeries) -> str:

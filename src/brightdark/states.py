@@ -166,13 +166,15 @@ def coherent_bright_dark_expansion(
     These are the weights of the two-mode N-photon bright (dark) states in the
     phase-aligned (phase-opposed) two-mode coherent state.  Both branches share
     the same closed form; the dark pairing puts the pi phase on mode 0, i.e.
-    ``|-alpha, alpha>``.
+    ``|-alpha, alpha>``.  A NaN or infinite alpha raises ValueError, as in CoherentSpec.
     """
     if branch not in ("bright", "dark"):
         raise ValueError(f"branch must be 'bright' or 'dark', got {branch!r}")
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     a = complex(alpha)
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     r = math.hypot(a.real, a.imag)  # inf past the float range, where abs(a) raises
     if r == 0.0 or r * r == math.inf:  # the vacuum; or weights that peak near N = 2r^2
         return [complex(r == 0.0)] + [0j] * n_max

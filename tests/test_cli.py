@@ -589,7 +589,8 @@ def _no_constant(name):
 
 
 _extreme_floats = st.one_of(
-    st.just(0.0), st.floats(1e-320, 1e300).flatmap(lambda x: st.sampled_from([x, -x]))
+    st.sampled_from([0.0, math.nan, math.inf, -math.inf]),
+    st.floats(1e-320, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
 )
 _CONTRACT_FLAGS = {  # command: (the float flags drawn, the fixed arguments)
     "estimate-cavity": (
@@ -599,6 +600,8 @@ _CONTRACT_FLAGS = {  # command: (the float flags drawn, the fixed arguments)
         ["--e0", "--delta-omega", "--phi"],
         ["--n-side", "2", "--samples", "48", "--periods", "2", "--format", "json"],
     ),
+    "classify": (["--phase", "--tol", "--alpha"], ["--m", "4", "--family", "coherent"]),
+    "scan-phase": (["--tol"], ["--m", "4", "--grid", "16"]),
 }
 
 

@@ -2,11 +2,13 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from brightdark import pulses
+from brightdark.cli import _json_chunks, main
 from brightdark.errors import ResolutionError, ResourceLimitError
 from brightdark.pulses import (
     IntensitySeries,
@@ -223,6 +225,16 @@ def test_metrics_read_the_first_period():
     assert pulse_metrics(longer) == pulse_metrics(one)
 
 
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_dirichlet_refuses_a_non_finite_phase(phase):
+    # NaN fails the singularity test, and the kernel read as its peak.
+    for value in (phase, np.array([0.0, phase, 1.0])):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            pulses.dirichlet(5, value)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        amplitude_closed(LaserField(3), phase)
+
+
 @pytest.mark.parametrize("modes", [2**53, 2**53 - 1], ids=["2**53", "2**53-1"])
 def test_dirichlet_at_the_mode_bound_runs(modes):
     assert pulses.dirichlet(modes, 0.0) == float(modes)
@@ -359,3 +371,83 @@ def test_csv_header_follows_the_metadata_order():
         "t_prime,intensity\n0,2\n0.5,1\n"
     )
 
+
+
+# A library series holds one period; its writers take rows from the period.
+# S = 1000 puts chunk boundaries (FORMAT_CHUNK = 4096 rows) inside a period, and
+# S = 10000 makes chunks that start inside a period and end before its end, and
+# S = 4095 a first chunk that ends one sample past the first period.
+def _library_series(kind, periods, samples=1000):
+    field = LaserField(n_side=3, e0=1.3, delta_omega=0.8, phi=0.4)
+    if kind == "locked":
+        return intensity_series(field, samples, periods)
+    return unlocked_intensity(field, 5, samples, periods)
+
+
+def _texts(series, t, intensity):
+    """The CSV text of ``series`` and the JSON text of the two columns."""
+    return series_to_csv(series), "".join(_json_chunks({"t_prime": t, "intensity": intensity}))
+
+
+def _same(a, b):
+    return a == b  # pytest would spend minutes on a diff of two long texts
+
+
+@pytest.mark.parametrize(
+    "samples, periods", [(1000, 1), (1000, 2), (1000, 3), (1000, 7), (10000, 2), (4095, 2)]
+)
+@pytest.mark.parametrize("kind", ["locked", "unlocked"])
+def test_library_series_write_the_bytes_of_their_arrays(kind, samples, periods):
+    series = _library_series(kind, periods, samples)
+    texts = _texts(series, *series._columns())
+    copy = IntensitySeries(series.t, series.intensity, series.metadata)
+    assert _same(texts, _texts(copy, copy.t, copy.intensity))
+    # Reading the arrays does not change what the series writes.
+    assert _same(texts, _texts(series, *series._columns()))
+    assert len(texts[0].splitlines()) == len(series.metadata) + 1 + samples * periods
+
+
+@pytest.mark.parametrize("kind", ["locked", "unlocked"])
+def test_library_series_grid_and_metrics_match_the_arrays(kind):
+    series = _library_series(kind, 7)
+    step = LaserField(n_side=3, delta_omega=0.8).period / 1000
+    assert series.t.tobytes() == (np.arange(7000) * step).tobytes()
+    assert series.t is series.t and series.intensity is series.intensity
+    assert series.intensity.tobytes() == np.tile(series.intensity[:1000], 7).tobytes()
+    if kind == "locked":
+        copy = IntensitySeries(series.t, series.intensity, series.metadata)
+        assert pulse_metrics(series) == pulse_metrics(copy)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_library_series_hold_one_period():
+    field = LaserField(n_side=5)
+    unlocked_intensity(field, 7, 64, 2)  # the first FFT makes caches that stay
+    for make in (intensity_series, lambda f, s, p: unlocked_intensity(f, 7, s, p)):
+        assert _peak_bytes(lambda: make(field, 1024, 2000)) < 2**20  # S*P*8 is 16 MB
+
+
+def test_reading_the_time_grid_allocates_it_once():
+    # A float arange scaled in place: an int one would hold a second copy.
+    series = intensity_series(LaserField(n_side=5), 100_000, 10)
+    assert _peak_bytes(lambda: series.t) < 1.25 * series.t.nbytes
+
+
+def test_csv_pulse_train_memory_is_flat_in_the_periods(tmp_path):
+    out = str(tmp_path / "train.csv")
+
+    def run(periods):
+        assert main(["pulse-train", "--n-side", "5", "--samples", "100000",
+                     "--periods", str(periods), "--output", out]) == 0
+
+    run(1)  # the formatter's work arrays, made once per thread
+    one, twenty = _peak_bytes(lambda: run(1)), _peak_bytes(lambda: run(20))
+    assert twenty < one + 100_000 * 8 and twenty < 0.5 * 100_000 * 20 * 8

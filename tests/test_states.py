@@ -241,6 +241,14 @@ def test_expansion_rejects_bad_branch():
         coherent_bright_dark_expansion(0.3, 4, "grey")
 
 
+@pytest.mark.parametrize(
+    "alpha", [math.nan, math.inf, -math.inf, complex(1, math.nan), complex(math.inf, 1)]
+)
+def test_expansion_refuses_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        coherent_bright_dark_expansion(alpha, 2, "bright")
+
+
 def test_expansion_matches_bright_projections_tightly():
     # The closed form against the Fock-space projection agrees to a few ulp.
     coeffs = coherent_bright_dark_expansion(0.7, 5, "bright")
