@@ -5,14 +5,14 @@ argparse reads the argv: ``--output`` on every subcommand, and exactly one of
 computes.  Every command prints a JSON document ``{"command", "params",
 "results"}`` (the pulse-train command can emit CSV instead); numbers are
 rounded to 12 significant digits so identical invocations produce
-byte-identical output.  Float arrays and tables are written by the
-``pulses._g12_block`` kernel, as json.dumps would write the rounded numbers.
-A document is written in chunks as it is formatted, and ``--output``
-replaces its target only once the whole document is written.
+byte-identical output.  The text is textio's: a document is written in
+chunks as it is formatted, and ``--output`` replaces its target only once
+the whole document is written.
 
-Exit codes: 0 success, 2 validation error, 3 resource limit, 4 internal error,
-which no argv the parser accepts should reach.  A reader that closes standard
-output early (``brightdark ... | head``) is not an error: it exits 0.
+Exit codes: 0 success, 2 validation error or an ``--output`` that cannot be
+written, 3 resource limit, 4 internal error, which no argv the parser accepts
+should reach.  A reader that closes standard output early (``brightdark ... |
+head``) is not an error: it exits 0.
 """
 
 from __future__ import annotations
@@ -20,16 +20,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
-import numbers
 import os
 import re
 import sys
-from collections.abc import Iterator
 from itertools import chain
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,18 +32,8 @@ from .cavity import CavityDesign, ratio_report
 from .classify import DEFAULT_TOL, _locked, _scan_columns
 from .counting import dark_census, locked_dark_phases
 from .errors import DegenerateInputError, ResourceLimitError
-from .pulses import (
-    LaserField,
-    _Column,
-    _csv_chunks,
-    _json_number,
-    _text_rows,
-    intensity_series,
-    pulse_metrics,
-    unlocked_intensity,
-)
-
-OUTPUT_DIR_ENV = "BRIGHTDARK_OUTPUT_DIR"
+from .pulses import LaserField, intensity_series, pulse_metrics, unlocked_intensity
+from .textio import _csv_chunks, _json_chunks, _Records, _write_chunks
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -67,103 +52,6 @@ CLI_TOL = 1e-6
 _NEGATIVE_VALUE = re.compile(
     r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|\d+/\d+|inf|infinity|nan)$", re.IGNORECASE
 )
-
-
-class _Records(NamedTuple):
-    """A JSON list of objects with the same keys: ``columns`` (float ndarrays or
-    lists of str) give one value per object, ``constants`` one value for all."""
-
-    columns: dict
-    constants: dict
-
-
-def _json_scalar(value) -> str:
-    """A leaf's JSON text: integers exact, other reals through _json_number."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return str(int(value)) if isinstance(value, numbers.Integral) else _json_number(value)
-    return json.dumps(value)
-
-
-def _table_chunks(table, indent: int) -> Iterator[str]:
-    """The indent=2 JSON text of a 1-D float array, a _Column or _Records whose line
-    starts ``indent`` spaces in, pulses.FORMAT_CHUNK rows per chunk from _text_rows:
-    every row is its literals, the JSON text of its float cells and its quoted
-    strings; a row's comma leads it, and the first row's is dropped."""
-    pad = "\n" + " " * (indent + 2)
-    if not isinstance(table, _Records):
-        lits, columns = ["," + pad, ""], [table]
-    else:
-        lits, columns, text = [], [], "," + pad + "{"
-        fields = table.columns | table.constants
-        for n, key in enumerate(sorted(fields)):
-            text += ("," if n else "") + pad + "  " + json.dumps(key) + ": "
-            if key in table.columns:
-                lits.append(text)
-                column = table.columns[key]
-                if not isinstance(column, np.ndarray):
-                    quoted = {v: json.dumps(v) for v in set(column)}
-                    column = np.array([quoted[v] for v in column], dtype="S")
-                columns.append(column)
-                text = ""
-            else:
-                text += _json_scalar(fields[key])
-        lits.append(text + pad + "}")
-    if len(columns[0]) == 0:
-        yield "[]"
-        return
-    chunks = _text_rows(lits, columns, json=True)
-    yield "[" + next(chunks)[1:]
-    yield from chunks
-    yield "\n" + " " * indent + "]"
-
-
-def _json_chunks(value, indent: int = 0) -> Iterator[str]:
-    """``json.dumps(value, sort_keys=True, indent=2)``, numbers rounded to 12 significant
-    digits, for a container ``indent`` spaces in.  1-D float arrays, _Column and _Records
-    stream from _table_chunks, and text is yielded only at their boundaries."""
-    if isinstance(value, (_Records, _Column)) or (
-        isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 1
-    ):
-        yield from _table_chunks(value, indent)
-        return
-    if isinstance(value, dict):
-        brackets, items = "{}", [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
-    else:
-        brackets, items = "[]", [("", v) for v in value]
-    pad, text = "\n" + " " * (indent + 2), brackets[0]
-    for head, item in items:
-        text += pad + head
-        if isinstance(item, (dict, list, tuple, np.ndarray, _Column)):
-            parts = _json_chunks(item, indent + 2)
-            text += next(parts)  # a nested value's first and last chunks join the text around it
-            for part in parts:
-                yield text
-                text = part
-        else:
-            text += _json_scalar(item)
-        text += ","
-    yield (text[:-1] + "\n" + " " * indent if items else text) + brackets[1]
-
-
-def _write_chunks(chunks, output: str | None) -> None:
-    """Write text chunks to stdout, or to ``output`` through a temporary file
-    beside it that replaces it only once every chunk is written."""
-    if output is None:
-        sys.stdout.writelines(chunks)
-        return
-    path = Path(output)
-    out_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if out_dir and not path.is_absolute():
-        path = Path(out_dir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "w") as f:
-            f.writelines(chunks)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
 
 
 def _emit_json(command: str, params: dict, results: dict, output: str | None) -> None:
@@ -211,8 +99,7 @@ def cmd_pulse_train(args) -> None:
         series = intensity_series(field, args.samples, args.periods)
         metrics = dataclasses.asdict(pulse_metrics(series))
     if args.format == "csv":
-        footer = "".join(f"# {k}={_json_number(v)}\n" for k, v in sorted(metrics.items()))
-        _write_chunks(chain(_csv_chunks(series), [footer]), args.output)
+        _write_chunks(_csv_chunks(series.metadata, series._columns(), metrics), args.output)
     else:
         params = _params(args, "format", "seed")
         if args.unlocked:
@@ -362,7 +249,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:  # OSError: output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive

@@ -750,6 +750,46 @@ def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
     assert [p.name for p in target.parent.iterdir()] == ["train.out"]
 
 
+def _tree(root):
+    """Every path under ``root``, hidden ones too, with a file's bytes."""
+    return {p.relative_to(root): p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize(
+    "output, env_dir, message",
+    [
+        ("dir", None, "Is a directory"),
+        ("file/x.json", None, "file"),
+        ("x.json", "file", "file"),
+        ("", None, "names no file"),
+        ("n" * 255, None, None),  # the longest name the file system takes is written
+    ],
+    ids=["a-directory", "under-a-file", "env-dir-a-file", "empty-name", "255-byte-name"],
+)
+def test_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, output,
+                                               env_dir, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BRIGHTDARK_OUTPUT_DIR", raising=False)
+    if env_dir is not None:
+        monkeypatch.setenv("BRIGHTDARK_OUTPUT_DIR", env_dir)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "kept").write_bytes(b"old bytes\n")
+    (tmp_path / "file").write_bytes(b"old bytes\n")
+    before = _tree(tmp_path)
+    argv = ["count-dark", "--m", "4"]
+    code = main(argv + ["--output", output])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0 and err == ""
+        assert main(argv) == 0
+        assert (tmp_path / output).read_text() == capsys.readouterr().out[:-1]
+        before[Path(output)] = (tmp_path / output).read_bytes()
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [

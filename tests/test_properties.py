@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brightdark.classify import classify_fock
-from brightdark.cli import _json_chunks, _Records
 from brightdark.collective import build_basis, from_collective, to_collective
 from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from brightdark.fock import (
@@ -26,14 +25,9 @@ from brightdark.fock import (
     inner_product,
     tensor,
 )
-from brightdark.pulses import (
-    FORMAT_CHUNK,
-    IntensitySeries,
-    _g12_cells,
-    _json_number,
-    series_to_csv,
-)
+from brightdark.pulses import IntensitySeries, series_to_csv
 from brightdark.states import CoherentSpec, coherent_state, two_mode_bright, two_mode_dark
+from brightdark.textio import FORMAT_CHUNK, _json_chunks, _json_number, _Records, _text_rows
 
 finite_phases = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -535,9 +529,9 @@ _KERNEL_VALUES = _kernel_values()
 @pytest.mark.parametrize("json_text", [False, True], ids=["csv", "json"])
 def test_g12_kernel_matches_per_value_text(json_text):
     exact = _json_number if json_text else "%.12g".__mod__
-    cells = _g12_cells(_KERNEL_VALUES, json=json_text)
-    got = [bytes(cell).replace(b"\0", b"").decode() for cell in cells]
+    got = "".join(_text_rows(["", "\n"], [_KERNEL_VALUES], json=json_text)).splitlines()
     want = [exact(x) for x in _KERNEL_VALUES.tolist()]
+    assert len(got) == len(want)
     assert [(x, g) for x, g, w in zip(_KERNEL_VALUES.tolist(), got, want) if g != w] == []
 
 

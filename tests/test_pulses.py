@@ -1,5 +1,6 @@
 """Pulse-train envelope: closed form vs direct sum, metrics, unlocked phases."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from brightdark import pulses
-from brightdark.cli import _json_chunks, main
+from brightdark.cli import main
 from brightdark.errors import ResolutionError, ResourceLimitError
 from brightdark.pulses import (
     IntensitySeries,
@@ -20,6 +21,7 @@ from brightdark.pulses import (
     series_to_csv,
     unlocked_intensity,
 )
+from brightdark.textio import FORMAT_CHUNK, _csv_chunks, _json_chunks, _Records
 
 
 def test_peak_at_time_zero():
@@ -340,24 +342,36 @@ def _random_series(seed, rows):
     return IntensitySeries(t, rng.lognormal(0.0, 8.0, rows), {"seed": seed})
 
 
+def _csv_writer(seed, rows):
+    series = _random_series(seed, rows)
+    return lambda: _csv_chunks(series.metadata, series._columns(), {})
+
+
+def _json_writer(seed, rows):
+    rng = np.random.default_rng(seed)
+    labels = [("Dark", "Bright")[k % 2] for k in range(rows)]
+    doc = {"points": _Records({"y": rng.lognormal(0.0, 8.0, rows), "label": labels}, {"c": 2.5})}
+    return lambda: _json_chunks(doc)
+
+
 def test_csv_writers_interleaved_in_one_thread_keep_their_own_text():
-    # The kernel's work arrays are shared by every writer of a thread: a
-    # writer must be done with them before it yields a chunk.
-    rows = 2 * pulses.FORMAT_CHUNK + 5
-    series = [_random_series(seed, rows) for seed in (1, 2)]
-    want = [series_to_csv(s) for s in series]
-    writers = [pulses._csv_chunks(s) for s in series]
-    got = ["", ""]
-    for chunks in zip(*writers):
-        for n, chunk in enumerate(chunks):
-            got[n] += chunk
-    assert got == want
+    # The kernel's work arrays are shared by every writer of a thread, the JSON
+    # writer's too: a writer must be done with them before it yields a chunk.
+    rows = 2 * FORMAT_CHUNK + 5
+    for second in (_csv_writer, _json_writer):
+        writers = [_csv_writer(1, rows), second(2, rows)]
+        want = ["".join(writer()) for writer in writers]
+        got = ["", ""]
+        for chunks in itertools.zip_longest(*(writer() for writer in writers), fillvalue=""):
+            for n, chunk in enumerate(chunks):
+                got[n] += chunk
+        assert got == want
 
 
 def test_csv_writers_in_two_threads_match_one_thread():
     from concurrent.futures import ThreadPoolExecutor
 
-    series = [_random_series(seed, 3 * pulses.FORMAT_CHUNK) for seed in range(6)]
+    series = [_random_series(seed, 3 * FORMAT_CHUNK) for seed in range(6)]
     want = [series_to_csv(s) for s in series]
     with ThreadPoolExecutor(max_workers=2) as pool:
         assert list(pool.map(series_to_csv, series)) == want
