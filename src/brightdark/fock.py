@@ -11,6 +11,17 @@ Ranks are exact in int64 while ``C(top + M, M) < 2**63`` (``top`` the
 highest occupied sector), and the rank table has ``(M + 1) * (top + 1)``
 cells; past either bound (``RANK_LIMIT``, ``RANK_TABLE_MAX``) it raises
 ResourceLimitError before allocating.
+
+The kernels make flat passes over the ``(T, M)`` arrays.  With M a few
+modes, numpy runs a broadcast multi-index gather, ``sum(axis=1)`` or
+``cumsum(axis=1)`` as one short inner loop per row, at 4-5 ns an element
+(numpy 2.4, one x86-64 core), where a ``take`` from the raveled table costs
+about 0.8 ns, a product with ``ones(M)`` about 1 ns and the M - 1 column
+adds of a running sum about 0.8 ns.  So gathers index raveled tables, sums
+over the modes are matrix-vector products, and running sums over the modes
+are column adds up to ``_COLUMN_MODES`` modes and ``np.cumsum`` past it.
+The prune mask squares the amplitudes (2.6 ns a value) and calls ``hypot``
+(8.7 ns) only near the threshold.
 """
 
 from __future__ import annotations
@@ -32,11 +43,29 @@ PRUNE_THRESHOLD = 1e-15
 TWO_PI = 2.0 * math.pi
 
 
+# Squared magnitudes decide every amplitude outside this band around
+# PRUNE_THRESHOLD**2: they carry a few ulps of rounding and hypot one, so
+# 2**-40 leaves a wide margin.  hypot decides inside the band, and for arrays
+# below _SQUARES_MIN values, where its one call costs less than the squares'.
+_BAND = (PRUNE_THRESHOLD**2 * (1.0 - 2.0**-40), PRUNE_THRESHOLD**2 * (1.0 + 2.0**-40))
+_SQUARES_MIN = 512
+
+
 def _significant(amp: np.ndarray) -> np.ndarray:
-    """Mask of the amplitudes kept.  ``hypot`` gives the magnitude that Python's
-    ``abs`` gives; numpy's complex ``abs`` can differ from it in the last bit,
-    which moves terms at the threshold across it."""
-    return np.hypot(amp.real, amp.imag) >= PRUNE_THRESHOLD
+    """Mask of the amplitudes kept: those whose magnitude, as Python's ``abs``
+    gives it, reaches PRUNE_THRESHOLD.  ``hypot`` gives that magnitude; numpy's
+    complex ``abs`` can differ from it in the last bit, which moves terms at
+    the threshold across it."""
+    re, im = amp.real, amp.imag
+    if amp.size < _SQUARES_MIN:
+        return np.hypot(re, im) >= PRUNE_THRESHOLD
+    with np.errstate(over="ignore"):  # an inf square is decided right: kept
+        square = re * re + im * im
+    keep = square >= _BAND[0]
+    near = keep == (square < _BAND[1])  # inside the band, or NaN
+    if near.any():
+        keep[near] = np.hypot(re[near], im[near]) >= PRUNE_THRESHOLD
+    return keep
 
 
 def _reduce_phase(x: float) -> float:
@@ -122,7 +151,7 @@ class StateVector:
             raise ValueError(f"cutoff must be non-negative, got {cutoff}")
         if occ.shape[1:] != (modes,):
             raise _length_error(occ[0], modes)
-        totals = occ.sum(axis=1)
+        totals = occ @ np.ones(modes, dtype=np.int64)
         top = int(totals.max(initial=0))
         if top > cutoff or occ.min(initial=0) < 0:
             negative = (occ < 0).any(axis=1)
@@ -211,6 +240,11 @@ def create(state: StateVector, mode: int) -> StateVector:
 # and the rank table's (M + 1) * (top + 1) cells.
 RANK_LIMIT = 2**63
 RANK_TABLE_MAX = 10_000_000
+# Up to this many modes the running sums over modes are column adds, which
+# match or beat np.cumsum on the short rows at every term count.  On wider
+# states with few terms, such as single photons in up to 64 modes, one
+# np.cumsum call costs less than M - 1 column passes.
+_COLUMN_MODES = 4
 
 
 def _multichoose(modes: int, top: int) -> np.ndarray:
@@ -238,18 +272,32 @@ def _lowered_ranks(occ: np.ndarray, top: int) -> np.ndarray:
     Occupations are indexed by their rank in the combinatorial number system:
     with ``s_k`` the photons in the last k+1 modes, ``rank = sum_k C(s_k + k, k+1)``.
     Lowering mode m lowers every ``s_k`` with ``k >= M-1-m`` by one, so by
-    Pascal's rule it subtracts ``sum_{k >= M-1-m} C(s_k + k - 1, k)``: one gather
-    and one cumulative sum give every lowered rank.  Entries where mode m is
-    empty are meaningless.
+    Pascal's rule it subtracts ``sum_{k >= M-1-m} C(s_k + k - 1, k)``: two
+    gathers and one running sum give every lowered rank.  Entries where mode m
+    is empty are meaningless.
     """
     modes = occ.shape[1]
-    table = _multichoose(modes, top)
-    # suffix[:, m] is the photon count of modes m..M-1, i.e. s_k for k = M-1-m.
-    suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
-    k = np.arange(modes - 1, -1, -1)
-    rank = table[k + 1, suffix].sum(axis=1)
-    drop = np.cumsum(table[k, suffix], axis=1)
-    return np.subtract(rank[:, None], drop, out=drop)
+    width = top + 1
+    table = _multichoose(modes, top).ravel()
+    columns = modes <= _COLUMN_MODES
+    # at[:, m] = s + (M-1-m) * width, with s the photons in modes m..M-1, is the
+    # flat index of table[M-1-m, s]; the table one row on reads table[M-m, s].
+    if columns:
+        at = occ + width
+        at[:, -1] -= width
+        for m in range(modes - 2, -1, -1):
+            at[:, m] += at[:, m + 1]
+    else:
+        at = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1] + width * np.arange(modes - 1, -1, -1)
+    rank = table[width:].take(at) @ np.ones(modes, dtype=np.int64)
+    slot = table.take(at)  # each column becomes rank minus its running sum
+    if columns:
+        np.subtract(rank, slot[:, 0], out=slot[:, 0])
+        for m in range(1, modes):
+            np.subtract(slot[:, m - 1], slot[:, m], out=slot[:, m])
+        return slot
+    np.cumsum(slot, axis=1, out=slot)
+    return np.subtract(rank[:, None], slot, out=slot)
 
 
 def _lower(state: StateVector, phases: ModePhases):
@@ -272,21 +320,25 @@ def _lower(state: StateVector, phases: ModePhases):
             f"{modes} modes up to {top} photons exceed the Fock rank index bounds"
         )
     slot = _lowered_ranks(occ, top)
-    occupied = occ > 0
-    entries = np.count_nonzero(occupied)
-    lo = slot.min(where=occupied, initial=RANK_LIMIT - 1)
-    hi = slot.max(where=occupied, initial=0)
+    empty = occ == 0
+    entries = np.count_nonzero(occ)
+    # -1 sits below every rank, and read as an unsigned integer above every
+    # rank, so two plain reductions find both ends of the occupied slots.
+    np.putmask(slot, empty, -1)
+    lo = int(slot.view(np.uint64).min(initial=RANK_LIMIT - 1))
+    hi = int(slot.max(initial=0))
     if entries and hi - lo < entries:  # the ranks fill their range, as for coherent states
         slot -= lo
-        count = int(hi - lo) + 1
+        count = hi - lo + 1
     else:
+        occupied = ~empty
         distinct, inverse = np.unique(slot[occupied], return_inverse=True)
         slot[occupied] = inverse
         count = distinct.size
-    slot[~occupied] = count
+    np.putmask(slot, empty, count)
     # exp(i*theta_m) * sqrt(n) for every mode m and photon number n.
     root = np.exp(1j * np.asarray(phases.theta))[:, None] * np.sqrt(np.arange(top + 1))
-    weight = root[np.arange(modes), occ]
+    weight = root.ravel().take(occ + (top + 1) * np.arange(modes))
     weight *= state._amp[:, None]
     flat = slot.ravel()
     amps = np.empty(count, dtype=complex)

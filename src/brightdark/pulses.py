@@ -61,6 +61,8 @@ class LaserField:
         for name, value in (("(e0*m_total)^2", peak * peak), ("2*pi/delta_omega", self.period)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} overflows: e0={self.e0}, delta_omega={self.delta_omega}")
+        if peak * peak < sys.float_info.min:  # zero, or subnormal intensities
+            raise ValueError(f"(e0*m_total)^2 underflows: e0={self.e0}")
 
     @property
     def m_total(self) -> int:

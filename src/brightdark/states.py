@@ -123,9 +123,9 @@ def coherent_state(spec: CoherentSpec) -> StateVector:
     per_mode = np.cumprod(steps, axis=1)
 
     occ = _stars_and_bars(modes, n_max)
-    amp = per_mode[0, occ[:, 0]] * math.exp(-spec.mean_total_photons / 2.0)
+    amp = per_mode[0].take(occ[:, 0]) * math.exp(-spec.mean_total_photons / 2.0)
     for m in range(1, modes):
-        amp *= per_mode[m, occ[:, m]]
+        amp *= per_mode[m].take(occ[:, m])
     return StateVector._from_arrays(modes, occ, amp, n_max)
 
 

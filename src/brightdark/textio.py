@@ -373,6 +373,9 @@ def _write_chunks(chunks, output: str | None) -> None:
         with open(partial, "w") as f:
             f.writelines(chunks)
         os.replace(partial, path)
+    except OSError as exc:
+        partial.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc  # name the target
     except BaseException:
         partial.unlink(missing_ok=True)
         raise

@@ -584,6 +584,18 @@ def test_pulse_train_overflow_exits_2(capsys, extra):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("unlocked", [False, True], ids=["locked", "unlocked"])
+@pytest.mark.parametrize("e0", ["1e-300", "1e-160", "0"])
+def test_pulse_train_underflowing_peak_exits_2(capsys, e0, unlocked):
+    # Refused before any series is built: no half-maximum search on zeros,
+    # no all-zero unlocked series, no subnormal peak.
+    argv = ["pulse-train", "--n-side", "2", "--samples", "32", "--e0", e0]
+    assert main(argv + ["--unlocked"] * unlocked) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: (e0*m_total)^2 underflows: e0={float(e0)}\n"
+
+
 def _no_constant(name):
     raise AssertionError(f"{name} is not JSON")
 
@@ -758,13 +770,15 @@ def _tree(root):
 @pytest.mark.parametrize(
     "output, env_dir, message",
     [
-        ("dir", None, "Is a directory"),
+        ("dir", None, "Is a directory: 'dir'"),
+        ("empty", None, "Is a directory: 'empty'"),
         ("file/x.json", None, "file"),
         ("x.json", "file", "file"),
         ("", None, "names no file"),
         ("n" * 255, None, None),  # the longest name the file system takes is written
     ],
-    ids=["a-directory", "under-a-file", "env-dir-a-file", "empty-name", "255-byte-name"],
+    ids=["a-directory", "an-empty-directory", "under-a-file", "env-dir-a-file", "empty-name",
+         "255-byte-name"],
 )
 def test_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, output,
                                                env_dir, message):
@@ -774,6 +788,7 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, ou
         monkeypatch.setenv("BRIGHTDARK_OUTPUT_DIR", env_dir)
     (tmp_path / "dir").mkdir()
     (tmp_path / "dir" / "kept").write_bytes(b"old bytes\n")
+    (tmp_path / "empty").mkdir()
     (tmp_path / "file").write_bytes(b"old bytes\n")
     before = _tree(tmp_path)
     argv = ["count-dark", "--m", "4"]
@@ -786,7 +801,7 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, ou
         before[Path(output)] = (tmp_path / output).read_bytes()
     else:
         assert code == 2
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and ".tmp" not in err
     assert _tree(tmp_path) == before
 
 

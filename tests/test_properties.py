@@ -16,9 +16,14 @@ from brightdark.classify import classify_fock
 from brightdark.collective import build_basis, from_collective, to_collective
 from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from brightdark.fock import (
+    _SQUARES_MIN,
     PRUNE_THRESHOLD,
+    RANK_LIMIT,
     ModePhases,
     StateVector,
+    _lower,
+    _multichoose,
+    _significant,
     annihilate,
     apply_field,
     create,
@@ -26,7 +31,13 @@ from brightdark.fock import (
     tensor,
 )
 from brightdark.pulses import IntensitySeries, series_to_csv
-from brightdark.states import CoherentSpec, coherent_state, two_mode_bright, two_mode_dark
+from brightdark.states import (
+    CoherentSpec,
+    coherent_state,
+    single_photon_state,
+    two_mode_bright,
+    two_mode_dark,
+)
 from brightdark.textio import FORMAT_CHUNK, _json_chunks, _json_number, _Records, _text_rows
 
 finite_phases = st.floats(
@@ -209,7 +220,7 @@ tiny = st.floats(min_value=1e-16, max_value=1e-14)
 @st.composite
 def fock_states(draw, modes=None):
     if modes is None:
-        modes = draw(st.integers(min_value=1, max_value=6))
+        modes = draw(st.integers(min_value=1, max_value=24))
     cutoff = draw(st.integers(min_value=0, max_value=5))
     terms = draw(
         st.dictionaries(_occupations(modes, cutoff), st.one_of(amplitudes, tiny), max_size=12)
@@ -218,11 +229,115 @@ def fock_states(draw, modes=None):
     return StateVector(modes, terms, cutoff), ModePhases(modes, tuple(thetas))
 
 
+def _reference_lowered_ranks(occ, top):
+    """The lowered ranks by 2-D gathers, the form the flat passes replaced."""
+    modes = occ.shape[1]
+    table = _multichoose(modes, top)
+    suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    k = np.arange(modes - 1, -1, -1)
+    rank = table[k + 1, suffix].sum(axis=1)
+    drop = np.cumsum(table[k, suffix], axis=1)
+    return np.subtract(rank[:, None], drop, out=drop)
+
+
+def _reference_lower(state, phases):
+    """fock._lower by 2-D gathers and masked reductions, the form the flat passes replaced."""
+    modes, occ, top = state.modes, state._occ, state.top_sector()
+    slot = _reference_lowered_ranks(occ, top)
+    occupied = occ > 0
+    entries = np.count_nonzero(occupied)
+    lo = slot.min(where=occupied, initial=RANK_LIMIT - 1)
+    hi = slot.max(where=occupied, initial=0)
+    if entries and hi - lo < entries:
+        slot -= lo
+        count = int(hi - lo) + 1
+    else:
+        distinct, inverse = np.unique(slot[occupied], return_inverse=True)
+        slot[occupied] = inverse
+        count = distinct.size
+    slot[~occupied] = count
+    root = np.exp(1j * np.asarray(phases.theta))[:, None] * np.sqrt(np.arange(top + 1))
+    weight = root[np.arange(modes), occ]
+    weight *= state._amp[:, None]
+    flat = slot.ravel()
+    amps = np.empty(count, dtype=complex)
+    amps.real = np.bincount(flat, weight.real.ravel(), count + 1)[:count]
+    amps.imag = np.bincount(flat, weight.imag.ravel(), count + 1)[:count]
+    return amps, slot
+
+
+def _assert_lower_matches_reference(state, phases):
+    amps, slot = _lower(state, phases)
+    want_amps, want_slot = _reference_lower(state, phases)
+    assert np.array_equal(slot, want_slot)
+    assert np.array_equal(amps.view(np.uint64), want_amps.view(np.uint64))  # equal to the bit
+
+
 @settings(max_examples=100)
 @given(fock_states())
 def test_field_kernel_matches_dict_oracle(case):
+    # Up to 24 modes: both sides of _COLUMN_MODES.
     state, phases = case
+    _assert_lower_matches_reference(state, phases)
     _assert_terms_close(apply_field(state, phases).terms, _oracle_apply_field(state, phases))
+
+
+def _sparse_sectors():
+    """Six modes, a few terms in sectors 1, 3 and 7: lowered ranks with gaps."""
+    rows = [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (1, 1, 0, 0, 1, 0), (0, 3, 0, 0, 0, 0),
+            (7, 0, 0, 0, 0, 0), (0, 0, 2, 0, 0, 5), (1, 1, 1, 1, 1, 2)]
+    return StateVector(6, {row: complex(k + 1, -k) for k, row in enumerate(rows)}, cutoff=7)
+
+
+def _coherent(modes, alpha):
+    return coherent_state(CoherentSpec(alpha, ModePhases(modes, tuple(0.7 * m for m in range(modes)))))
+
+
+_FIXED_STATES = {
+    "single-photon-64": lambda: single_photon_state(ModePhases.locked(64, 0.3)),
+    **{f"bright-{n}": (lambda n=n: two_mode_bright(n, 0.4)) for n in (1, 2, 17, 60)},
+    **{f"dark-{n}": (lambda n=n: two_mode_dark(n, 0.4)) for n in (1, 2, 17, 60)},
+    **{f"coherent-{m}": (lambda m=m: _coherent(m, 0.9 - 0.1 * m)) for m in range(1, 6)},
+    "sparse-sectors": _sparse_sectors,
+}
+
+
+@pytest.mark.parametrize("build", _FIXED_STATES.values(), ids=_FIXED_STATES.keys())
+def test_field_kernel_matches_reference_on_fixed_states(build):
+    state = build()
+    phases = ModePhases(state.modes, tuple(1.3 * m + 0.2 for m in range(state.modes)))
+    _assert_lower_matches_reference(state, phases)
+    if build is _sparse_sectors:  # the slots are renumbered, not shifted: np.unique ran
+        amps = _lower(state, phases)[0]
+        assert amps.size == len(_oracle_apply_field(state, phases))
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# Magnitudes within 4 ulps of the threshold, on the axes or turned by an
+# angle; components whose squares underflow or overflow; NaN and inf.
+_near_threshold = st.builds(
+    lambda k, angle: cmath.rect(_ulps(PRUNE_THRESHOLD, k), angle),
+    st.integers(min_value=-4, max_value=4),
+    st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]),
+              st.floats(min_value=-math.pi, max_value=math.pi)),
+)
+_far_components = st.sampled_from([0.0, 1e-160, -1e-160, 1e160, -1e160, 1.0, math.nan, math.inf])
+_mask_amplitudes = st.one_of(_near_threshold, st.builds(complex, _far_components, _far_components))
+
+
+@settings(max_examples=200)
+@given(st.lists(_mask_amplitudes, min_size=1, max_size=40))
+def test_significant_mask_is_the_hypot_mask(values):
+    # Short arrays take hypot alone; the tiled one takes the squares.
+    for amp in (np.array(values), np.resize(np.array(values), _SQUARES_MIN + 7)):
+        want = np.hypot(amp.real, amp.imag) >= PRUNE_THRESHOLD
+        assert np.array_equal(_significant(amp), want)
+        assert want.tolist() == [abs(a) >= PRUNE_THRESHOLD for a in amp.tolist()]
 
 
 @settings(max_examples=100)

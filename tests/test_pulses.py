@@ -113,6 +113,19 @@ def test_field_refuses_an_overflowing_peak_or_period(params, match):
         LaserField(n_side=5, **params)
 
 
+@pytest.mark.parametrize("e0", [0.0, -0.0, 1e-300, 1e-160, -1e-160, 1.4e-154 / 11])
+def test_field_refuses_an_underflowing_peak(e0):
+    # 1.4e-154 / 11: (e0*M)^2 just below the smallest normal float.
+    with pytest.raises(ValueError, match=f"underflows: e0={e0}"):
+        LaserField(n_side=5, e0=e0)
+
+
+def test_field_keeps_the_smallest_normal_peak():
+    field = LaserField(n_side=5, e0=1.5e-154 / 11)
+    peak = float(np.max(intensity_series(field, samples_per_period=64).intensity))
+    assert sys.float_info.min <= peak <= 1.5e-154**2
+
+
 @pytest.mark.parametrize("n_side", [10**400, 2**1023], ids=["10**400", "2**1023"])
 def test_field_refuses_a_mode_count_past_the_float_range(n_side):
     with pytest.raises(ValueError, match="past the largest float"):
