@@ -100,7 +100,8 @@ def _stars_and_bars(modes: int, total_max: int) -> np.ndarray:
         starts = np.repeat(np.cumsum(counts) - counts, counts)
         occ = np.repeat(occ, counts, axis=0)
         occ[:, m] = np.arange(starts.size) - starts
-        left = np.repeat(left, counts) - occ[:, m]
+        if m + 1 < modes:  # the photons left for the modes after m
+            left = np.repeat(left, counts) - occ[:, m]
     return occ
 
 

@@ -29,42 +29,58 @@ OUTPUT_DIR_ENV = "BRIGHTDARK_OUTPUT_DIR"  # the directory a relative --output is
 FORMAT_CHUNK = 4096  # rows formatted per pass; bounds the byte matrix of a pass
 KERNEL_BLOCK = 8192  # values per pass of the '%.12g' kernel, the size of its work arrays
 
-# Tables of the '%.12g' kernel, indexed by a value's decimal exponent e (less
-# _EXP_MIN) or by groups of its digits.  A cell is 24 bytes, three little-endian
+# Tables of the '%.12g' kernel, by a value's decimal exponent e (as i = e - _EXP_MIN),
+# its binary one, groups of its digits, or i and the count d of its digits up to
+# the last nonzero one (as ik = i + _NE*d).  A cell is 24 bytes, three little-endian
 # words: word 0 holds the sign at byte 2 and what precedes the digit string
-# ("0.000" for fixed e < 0; the first digit and the point in sci notation);
-# words 1-2 hold the digits, with the point after digit e (fixed e >= 0), or
-# digits 1-11 and the exponent (sci).  Unused bytes are NUL.
+# ("0.000" for fixed e < 0; the first digit and the point in sci notation); words
+# 1-2 the digits, with the point after digit e (fixed e >= 0), or digits 1-11 and
+# the exponent (sci).  Unused bytes are NUL.
 CELL = 24
-_EXP_MIN, _EXP_MAX = -291, 290  # floor(log10|x|) for 1e-290 < |x| < 1e290
+_EXP_MIN, _EXP_MAX, _BAND = -291, 290, 0.4997  # the tables' exponents; the proof's band
 _e = np.arange(_EXP_MIN, _EXP_MAX + 1)
-_SCALE = np.array([float(f"1e{11 - e}") for e in _e.tolist()])  # correctly rounded
+_NE = len(_e)
+_TEN = np.array([float(f"1e{k}") for k in range(_EXP_MIN, 303)])  # correctly rounded
+_SCALE = _TEN[11 - _e - _EXP_MIN]  # 10**(11 - e)
+# Per binade 2**b <= |x| < 2**(b+1): i of e = floor(b*log10(2)) (exact here; _EXP_MAX
+# past either end), and the power of ten from which e is one more, if in range.
+_b10 = np.floor(np.arange(-1023, 1025) * np.log10(2)).astype(np.int64)
+_BINADE_I = np.where(_b10 < _EXP_MIN, _EXP_MAX, np.minimum(_b10, _EXP_MAX)) - _EXP_MIN
+_BINADE_TEN = np.where((_b10 >= _EXP_MIN) & (_b10 < _EXP_MAX),
+                       _TEN[np.clip(_b10 + 1, _EXP_MIN, _EXP_MAX) - _EXP_MIN], np.inf)
+# The 4 digits of 0..9999 as 4 bytes (_QUAD_HI: the high 4); the count left once
+# trailing zeros go (0 for 0), from digit 0, 4 or 8 of the mantissa, times _NE
+# (ik is i plus their maximum); _QUAD_8: digits 8-11 and that count above them.
 _d, _z = np.arange(48, 58), np.arange(10) == 0  # ASCII digits; which digit is zero
-# The 4 digits of 0..9999 as 4 bytes; how many of them are left once trailing
-# zeros go (0 for 0), and that length as counted from digit 4 or 8 of a mantissa
 _QUAD = (_d[:, None, None, None] | _d[:, None, None] << 8 | _d[:, None] << 16 | _d << 24)
 _QUAD = _QUAD.ravel().astype(np.uint64)
 _QUAD_LEN = _z * (1 + _z[:, None] * (1 + _z[:, None, None] * (1 + _z[:, None, None, None])))
-_QUAD_LEN = (4 - _QUAD_LEN.ravel()).astype(np.uint8)
-_QUAD_LEN_4, _QUAD_LEN_8 = (np.where(_QUAD_LEN, _QUAD_LEN + k, 0).astype(np.uint8) for k in (4, 8))
+_QUAD_LEN = 4 - _QUAD_LEN.ravel()
+_LAST, _LAST_4, _LAST_8 = (np.where(_QUAD_LEN, _QUAD_LEN + k, 0) * _NE for k in (0, 4, 8))
+_QUAD_HI, _QUAD_8 = _QUAD << np.uint64(32), _QUAD | _LAST_8.astype(np.uint64) << np.uint64(32)
 _KEEP_LO = np.array([(1 << 8 * min(k, 8)) - 1 for k in range(13)], dtype=np.uint64)
 _KEEP_HI = np.array([(1 << 8 * max(k - 8, 0)) - 1 for k in range(13)], dtype=np.uint64)
 _fixed, _sci, _ae = (_e >= 0) & (_e < 12), (_e < -4) | (_e >= 12), np.abs(_e)
-_KEEP_MIN = np.where(_fixed, _e + 1, 0)  # fixed notation keeps every integer digit
-_POINT_AT = np.where(_fixed, _e + 1, np.where(_sci, 1, 13))  # digits before the point
 _before = np.where(_fixed, _e + 1, 12)  # the digits that do not move for the point
-_SPLIT_LO, _SPLIT_HI = _KEEP_LO[_before], _KEEP_HI[_before]
-_DOT_LO = np.where(_fixed & (_e < 7), 0x2E << 8 * np.clip(_e + 1, 0, 7), 0).astype(np.uint64)
-_DOT_HI = np.where(_fixed & (_e >= 7), 0x2E << 8 * np.clip(_e - 7, 0, 7), 0).astype(np.uint64)
-_DOT_0 = np.where(_sci, 0x2E << 56, 0).astype(np.uint64)
-_PREFIX = np.select([_e == e for e in range(-4, 0)],
-                    [int.from_bytes(b"\0\0\0" + b"0.000"[: 1 - e], "little") for e in range(-4, 0)])
-_PREFIX = _PREFIX.astype(np.uint64)
+_MOVE_LO, _MOVE_HI = ~_KEEP_LO[_before], ~_KEEP_HI[_before]
 _FIRST = np.where(_sci, 0xFF, 0).astype(np.uint64)  # sci moves digit 0 to word 0
 _TAIL = np.where(_sci, (0x65 << 24) | (np.where(_e < 0, 0x2D, 0x2B) << 32)
                  | np.where(_ae >= 100, _ae // 100 + 48, 0) << 40
-                 | (_ae // 10 % 10 + 48) << 48 | (_ae % 10 + 48) << 56, 0).astype(np.uint64)
-_MINUS = np.uint64(0x2D << 16)
+                 | (_ae // 10 % 10 + 48) << 48 | (_ae % 10 + 48) << 56, 0)
+_prefix = np.select([_e == e for e in range(-4, 0)],
+                    [int.from_bytes(b"\0\0\0" + b"0.000"[: 1 - e], "little") for e in range(-4, 0)])
+# By ik: the kept digits (fixed notation keeps every integer digit); the other bytes
+# of each word (the point, where a kept digit follows it; the prefix; the sci
+# exponent); and for JSON, whether the rounding is no integer.
+_keep = np.maximum(np.arange(13)[:, None], np.where(_fixed, _e + 1, 0))
+_point = _keep > np.where(_fixed, _e + 1, np.where(_sci, 1, 13))
+_KEEP_LO_IK, _KEEP_HI_IK = _KEEP_LO[_keep].ravel(), _KEEP_HI[_keep].ravel()
+_dot = np.where(_point & _fixed, 0x2E << 8 * ((_e + 1) % 8), 0)
+_WORD0 = (_prefix | np.where(_point & _sci, 0x2E << 56, 0)).astype(np.uint64).ravel()
+_WORD1 = np.where(_e < 7, _dot, 0).astype(np.uint64).ravel()
+_WORD2 = np.where(_sci, _TAIL, np.where(_e >= 7, _dot, 0)).astype(np.uint64).ravel()
+_FRACTION = (np.arange(13)[:, None] > _e + 1).ravel()
+del _TEN, _b10, _QUAD_LEN, _LAST_8, _keep, _point, _dot  # the tables' intermediates
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -78,21 +94,19 @@ class _KernelWork:
     """The arrays of _g12_block, KERNEL_BLOCK values each: one set per thread,
     made on the thread's first call to _kernel_work.
 
-    The kernel keeps its input, its output and every intermediate in them.
-    Some twenty arrays allocated per pass would be handed back to the system
-    after each call and faulted in again on the next, at a cost that rises
-    and falls with the load on the machine.  _text_rows copies the cells out
-    before it yields, so writers interleaved in one thread share them safely.
+    The kernel keeps its input and every intermediate in them.  Some twenty
+    arrays allocated per pass would be handed back to the system after each
+    call and faulted in again on the next, at a cost that rises and falls with
+    the load on the machine.  The kernel writes its output into the caller's
+    byte matrix, so writers interleaved in one thread share them safely.
     """
 
     def __init__(self):
         self.values = np.empty(KERNEL_BLOCK)
-        self.cells = np.empty((KERNEL_BLOCK, 3), dtype=np.uint64)
         self.real = np.empty((2, KERNEL_BLOCK))
-        self.int = np.empty((5, KERNEL_BLOCK), dtype=np.int64)
-        self.word = np.empty((5, KERNEL_BLOCK), dtype=np.uint64)
-        self.flag = np.empty((4, KERNEL_BLOCK), dtype=bool)
-        self.byte = np.empty((2, KERNEL_BLOCK), dtype=np.uint8)
+        self.int = np.empty((6, KERNEL_BLOCK), dtype=np.int64)
+        self.word = np.empty((6, KERNEL_BLOCK), dtype=np.uint64)
+        self.flag = np.empty((2, KERNEL_BLOCK), dtype=bool)
 
 
 _THREAD = threading.local()
@@ -100,116 +114,113 @@ _THREAD = threading.local()
 
 def _kernel_work() -> _KernelWork:
     """This thread's kernel arrays; a process that never formats a float makes none."""
-    try:
-        return _THREAD.work
-    except AttributeError:
+    if not hasattr(_THREAD, "work"):
         _THREAD.work = _KernelWork()
-        return _THREAD.work
+    return _THREAD.work
 
 
-def _g12_block(work: _KernelWork, k: int, json: bool) -> None:
-    """Write the cells of the k values ``work.values[:k]`` into ``work.cells[:k]``,
-    three uint64 words each (see CELL).
+def _g12_block(work: _KernelWork, cells: list, json: bool) -> None:
+    """Write the cells of ``work.values`` into ``cells``: one (m, 3) uint64 array per
+    column (see CELL) for its m values, which follow the previous column's; an
+    unaligned strided view of a byte matrix, say, so that each word is copied
+    once, straight into its rows.
 
-    The fast path takes a finite x with 1e-290 < |x| < 1e290.  With
-    e = floor(log10|x|) and y = |x| * 10**(11 - e) (a correctly rounded power
-    of ten), y is within about 2.3e-16*y < 2.5e-4 of the exact product, so
-    when |y - n| < 0.499 for n = rint(y), the exact product is within
-    0.49925 of n: n is that product rounded to an integer, with no tie.  When
-    also 1e11 <= n < 1e12, n is the 12-digit mantissa '%.12g' rounds x to and
-    e is its exponent.  log10 errs by an ulp or two, so e is off by one only
-    within about 1e-13 (relative) of a power of ten: one too low, y rounds to
-    1e12 and fails the range test; one too high, y rounds to 1e11, and so
-    does the exact 12-digit rounding of x.  The text follows the %g rules:
-    fixed notation for -4 <= e < 12, else sci with a signed exponent of at
-    least 2 digits; trailing zeros are stripped, and the point with them.  A
-    value the fast path does not prove is written per value, by '%.12g' (CSV)
-    or _json_number.  JSON text differs from '%.12g' only where the rounding
-    is an integer (e >= the index of its last nonzero digit: "121.0",
-    "1000000000000.0"), so those are written by _json_number too.
+    The fast path takes a finite x with 1e-290 < |x| < 1e291.  e = floor(log10|x|),
+    from the binade of |x| and the power of ten in it, is exact but at the double
+    just below a power 10**k, which gets e = k: y then rounds to 1e11, as x does
+    to 10**k in 12 digits.  y = |x| * 10**(11 - e) (a correctly rounded power of
+    ten) is within (2u + u**2)*y < 2.3e-4 of the exact product (u = 2**-53,
+    y < 1e12), so when |y - n| < 0.4997 for n = rint(y), the product is within
+    0.49993 of n: n is the product rounded, with no tie and a margin of 7e-5,
+    and if 1e11 <= n < 1e12, the 12-digit mantissa '%.12g' rounds x to.  The text
+    follows the %g rules: fixed notation for -4 <= e < 12, else sci with a signed
+    exponent of at least 2 digits; trailing zeros go, and the point with them.
+    JSON text differs from it only where the rounding is an integer ("121.0",
+    "1000000000000.0"): those, and the values the fast path does not prove, are
+    written per value, by '%.12g' (CSV) or _json_number.
 
-    Every step writes into the work arrays; the table lookups take
-    mode="clip" only because that spares np.take a buffer (every index is
-    in range).
+    The passes: e, which is _EXP_MAX for 0, NaN, +-inf and values out of range,
+    so that y fails the proof; y; n, clamped to [1e11, 1e12) before rint, so that
+    the band test fails an n out of range too (y is then 0.5 or more from it, but
+    where rounding puts y just below 1e11, whose n is 1e11); digits 0-3, 4-7 and
+    8-11 by floor division, their bytes and d from 10**4-entry tables; the words,
+    from tables by i and ik, and a select of the sci ones.  Every step writes
+    into the work arrays; a lookup's mode="clip" only spares np.take a buffer.
     """
-    x, cells = work.values[:k], work.cells[:k]
+    m = len(cells[0])
+    k = m * len(cells)
+    x = work.values[:k]
     a, y = work.real[:, :k]
-    i, j, g0, g1, g2 = work.int[:, :k]
-    lo, hi, w, v, moved = work.word[:, :k]
-    ok, t, point, sci = work.flag[:, :k]
-    digits, d = work.byte[:, :k]
+    i, ik, g, g0, g1, r = work.int[:, :k]
+    lo, hi, moved, w0, w1, w2 = work.word[:, :k]
+    ok, sci = work.flag[:, :k]
 
     def take(table, index, out):
         return table.take(index, out=out, mode="clip")
 
     np.abs(x, out=a)
-    np.greater(a, 1e-290, out=ok)
-    ok &= np.less(a, 1e290, out=t)  # NaN compares false
-    np.copyto(a, 1.0, where=np.logical_not(ok, out=t))
-    np.floor(np.log10(a, out=y), out=y)
-    np.copyto(i, y, casting="unsafe")
-    i -= _EXP_MIN
+    np.right_shift(a.view(np.int64), 52, out=g)  # the binade
+    take(_BINADE_I, g, i)
+    i += np.greater_equal(a, take(_BINADE_TEN, g, y), out=ok)
     take(_SCALE, i, y)
     y *= a
-    n = np.rint(y, out=a)  # |x| is spent
+    n = np.fmax(y, 1e11, out=a)  # |x| is spent
+    np.fmin(n, 1e12 - 1, out=n)
+    np.rint(n, out=n)
     y -= n
-    ok &= np.less(np.abs(y, out=y), 0.499, out=t)  # n is y's integer, with no tie
-    ok &= np.greater_equal(n, 1e11, out=t)
-    ok &= np.less(n, 1e12, out=t)
-    np.copyto(g2, np.clip(n, 1e11, 1e12 - 1, out=n), casting="unsafe")
-    np.divmod(g2, 10**8, out=(g0, g2))
-    np.divmod(g2, 10**4, out=(g1, g2))  # the mantissa's digits 0-3, 4-7 and 8-11
-    take(_QUAD, g1, lo)
-    lo <<= 32
-    lo |= take(_QUAD, g0, w)  # digits 0-7, one byte each
-    take(_QUAD, g2, hi)  # digits 8-11
-    take(_QUAD_LEN_8, g2, digits)  # up to the last nonzero one
-    np.maximum(digits, take(_QUAD_LEN_4, g1, d), out=digits)
-    np.maximum(digits, take(_QUAD_LEN, g0, d), out=digits)
+    np.less(np.abs(y, out=y), _BAND, out=ok)  # n is y's integer, with no tie, and in range
+    np.copyto(g, n, casting="unsafe")
+    np.floor_divide(g.view(np.uint64), 10**8, out=g0.view(np.uint64))  # unsigned divides faster
+    g -= np.multiply(g0, 10**8, out=r)
+    np.floor_divide(g.view(np.uint64), 10**4, out=g1.view(np.uint64))
+    g -= np.multiply(g1, 10**4, out=r)  # g0, g1, g: the mantissa's digits 0-3, 4-7 and 8-11
+    take(_QUAD_HI, g1, lo)
+    lo |= take(_QUAD, g0, w0)  # digits 0-7, one byte each
+    take(_QUAD_8, g, hi)  # digits 8-11, and in the high half their count
+    np.right_shift(hi, 32, out=ik.view(np.uint64))
+    np.maximum(ik, take(_LAST_4, g1, r), out=ik)
+    np.maximum(ik, take(_LAST, g0, r), out=ik)
+    ik += i
     if json:
-        ok &= np.greater(digits, np.add(i, _EXP_MIN + 1, out=j), out=t)
-    keep = np.maximum(digits, take(_KEEP_MIN, i, j), out=j)
-    lo &= take(_KEEP_LO, keep, w)
-    hi &= take(_KEEP_HI, keep, w)
-    np.greater(keep, take(_POINT_AT, i, g0), out=point)
-    take(_sci, i, sci)
+        ok &= take(_FRACTION, ik, sci)
+    lo &= take(_KEEP_LO_IK, ik, w0)
+    hi &= take(_KEEP_HI_IK, ik, w0)
 
-    # Word 0: the sign, the prefix, and in sci notation digit 0 and the point.
-    np.bitwise_and(lo, take(_FIRST, i, w), out=w)
-    w <<= 48
-    w |= take(_PREFIX, i, v)
-    w |= np.multiply(np.less(x, 0, out=t), _MINUS, out=v)
-    w |= np.multiply(take(_DOT_0, i, v), point, out=v)
-    np.copyto(cells[:, 0], w)
-    # Word 1: in fixed notation the digits before the point, the point, and
-    # the digits after it moved one byte up; in sci notation digits 1-8.
-    np.bitwise_and(lo, take(_SPLIT_LO, i, v), out=w)
-    np.bitwise_xor(lo, w, out=moved)
-    w |= np.left_shift(moved, 8, out=v)
-    w |= np.multiply(take(_DOT_LO, i, v), point, out=v)
-    np.right_shift(lo, 8, out=v)
-    v |= np.left_shift(hi, 56, out=lo)
-    np.copyto(w, v, where=sci)
-    np.copyto(cells[:, 1], w)
+    # Word 0: in sci notation digit 0 and the point; the prefix; the sign.
+    np.not_equal(take(_FIRST, i, w0), 0, out=sci)
+    w0 &= lo
+    w0 <<= 48
+    w0 |= take(_WORD0, ik, w1)
+    np.right_shift(x.view(np.uint64), 63, out=w1)
+    w0 |= np.multiply(w1, 0x2D << 16, out=w1)
+    # Word 1: in fixed notation the digits before the point, those after it
+    # moved one byte up (lo + 255*moved is lo - moved + (moved << 8)), and
+    # the point; in sci notation digits 1-8.
+    np.bitwise_and(lo, take(_MOVE_LO, i, moved), out=moved)
+    np.add(lo, np.multiply(moved, 255, out=w1), out=w1)
+    w1 |= take(_WORD1, ik, w2)
+    np.right_shift(lo, 8, out=w2)
+    w2 |= np.left_shift(hi, 56, out=lo)
+    np.copyto(w1, w2, where=sci)
     # Word 2: the same for digits 8-11 and the digit moved out of word 1; in
     # sci notation digits 9-11 and the exponent.
-    np.bitwise_and(hi, take(_SPLIT_HI, i, v), out=w)
-    np.bitwise_xor(hi, w, out=v)
-    v <<= 8
-    w |= v
+    np.bitwise_and(hi, take(_MOVE_HI, i, lo), out=lo)
+    np.add(hi, np.multiply(lo, 255, out=w2), out=w2)
     moved >>= 56
-    w |= moved
-    w |= np.multiply(take(_DOT_HI, i, v), point, out=v)
+    w2 |= moved
     hi >>= 8
-    hi |= take(_TAIL, i, v)
-    np.copyto(w, hi, where=sci)
-    np.copyto(cells[:, 2], w)
+    np.copyto(w2, hi, where=sci)
+    w2 |= take(_WORD2, ik, lo)
 
+    words = work.word[3:, :k]
     if not ok.all():
-        unproven = np.flatnonzero(~ok)
+        unproven = np.flatnonzero(np.logical_not(ok, out=ok))
         exact = _json_number if json else "%.12g".__mod__
         text = [exact(value) for value in x[unproven].tolist()]
-        cells[unproven] = np.array(text, dtype=f"S{CELL}").view(np.uint64).reshape(-1, 3)
+        words[:, unproven] = np.array(text, dtype=f"S{CELL}").view(np.uint64).reshape(-1, 3).T
+    for f, out in enumerate(cells):
+        for word in range(3):
+            np.copyto(out[:, word], words[word, f * m : (f + 1) * m])
 
 
 class _Column:
@@ -232,11 +243,10 @@ class _Column:
 def _text_rows(lits, columns, json: bool = False) -> Iterator[str]:
     """Rows ``lits[0] + column 0 + lits[1] + ... + lits[-1]`` up to the shortest
     column, FORMAT_CHUNK rows per chunk; a column is an array or a _Column, and
-    each is sliced once per chunk.  A float column is written by
-    _g12_block, the float columns of a run of rows together in the kernel's
-    work arrays; any other column is a bytes ('S') array, written as it is.
-    Each chunk is one byte matrix of literals and NUL-padded cells, compacted
-    once."""
+    each is sliced once per chunk.  _g12_block writes the float columns of a run
+    of rows in one pass, through a uint64 view of each one's cells; any other
+    column is a bytes ('S') array, written as it is.  Each chunk is one byte
+    matrix of literals and NUL-padded cells, compacted once."""
     rows = min(len(c) for c in columns)
     floats = [j for j, c in enumerate(columns) if c.dtype.kind == "f"]
     template, starts = bytearray(), []
@@ -246,6 +256,7 @@ def _text_rows(lits, columns, json: bool = False) -> Iterator[str]:
         template += bytes(CELL if column.dtype.kind == "f" else column.itemsize)
     template += lits[-1].encode()
     matrix = np.tile(np.frombuffer(template, dtype=np.uint8), (min(rows, FORMAT_CHUNK), 1))
+    cells = [matrix[:, starts[j] : starts[j] + CELL].view(np.uint64) for j in floats]
     run = max(KERNEL_BLOCK // max(len(floats), 1), 1)  # rows per pass of the kernel
     for lo in range(0, rows, FORMAT_CHUNK):
         block = matrix[: min(FORMAT_CHUNK, rows - lo)]
@@ -254,17 +265,13 @@ def _text_rows(lits, columns, json: bool = False) -> Iterator[str]:
             if column.dtype.kind != "f":
                 text = column.view(np.uint8).reshape(len(block), column.itemsize)
                 block[:, start : start + column.itemsize] = text
-        for a in range(0, len(block), run):
+        for a in range(0, len(block) if floats else 0, run):
             b = min(a + run, len(block))
-            k = (b - a) * len(floats)
             work = _kernel_work()  # the running thread's, should the writer change threads
-            values = work.values[:k].reshape(b - a, len(floats))
+            values = work.values[: (b - a) * len(floats)].reshape(len(floats), b - a)
             for f, j in enumerate(floats):
-                values[:, f] = chunk[j][a:b]
-            _g12_block(work, k, json)
-            cells = work.cells[:k].view(np.uint8).reshape(b - a, len(floats), CELL)
-            for f, j in enumerate(floats):
-                block[a:b, starts[j] : starts[j] + CELL] = cells[:, f]
+                values[f] = chunk[j][a:b]
+            _g12_block(work, [column[a:b] for column in cells], json)
         yield block.tobytes().translate(None, b"\0").decode()
 
 

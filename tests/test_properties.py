@@ -38,7 +38,15 @@ from brightdark.states import (
     two_mode_bright,
     two_mode_dark,
 )
-from brightdark.textio import FORMAT_CHUNK, _json_chunks, _json_number, _Records, _text_rows
+from brightdark import textio
+from brightdark.textio import (
+    FORMAT_CHUNK,
+    KERNEL_BLOCK,
+    _json_chunks,
+    _json_number,
+    _Records,
+    _text_rows,
+)
 
 finite_phases = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -623,17 +631,23 @@ def _kernel_values():
     """Doubles where the kernel's proof is tight, and their negatives: every decimal
     exponent from -330 to 308 with the neighbours of each power of ten; the doubles
     nearest the ties (n + 0.5)*10**k of 12-digit rounding, and theirs; mantissas with
-    0 to 11 trailing zeros; both sides of the 1e-4 and 1e12 notation switches."""
+    0 to 11 trailing zeros; both sides of the 1e-4 and 1e12 notation switches; the
+    largest mantissas below each power of ten, and the tie between them; and
+    mantissas whose scaled y is just inside and just outside the proof's band."""
     rng = np.random.default_rng(14)
     powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
     mantissas = rng.integers(10**11, 10**12, 40).tolist()
     ties = np.array([float(f"{n}5e{k}") for n in mantissas for k in range(-336, 297, 7)])
+    band = np.array([float(f"{n}.{f}e{k}") for n in mantissas[:20] for k in range(-300, 290, 73)
+                     for f in ("4996", "49969", "4997", "49971", "4998",
+                               "5002", "50029", "5003", "50031", "5004")])
     zeros = np.array([float(f"{n // 10**z * 10**z}e{k}") for z in range(12)
                       for n in mantissas[:8] for k in range(-322, 297, 9)])
     offsets = np.array([0.0, 1e-16, 1e-13, 4.9e-13, 5e-13, 5.1e-13, 1e-12, 5e-12, 1e-11])
     switches = np.concatenate([c * (1 + offsets) for c in (1e-4, 1e12)] +
                               [c * (1 - offsets) for c in (1e-4, 1e12)])
-    values = np.concatenate([powers, ties, zeros, switches])
+    below = np.array([float(f"9.99999999999{t}e{k}") for k in range(-330, 308) for t in ("", "5")])
+    values = np.concatenate([powers, ties, zeros, switches, band, below])
     values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
     return np.concatenate([values, -values, [math.nan, math.inf, -math.inf]])
 
@@ -648,6 +662,44 @@ def test_g12_kernel_matches_per_value_text(json_text):
     want = [exact(x) for x in _KERNEL_VALUES.tolist()]
     assert len(got) == len(want)
     assert [(x, g) for x, g, w in zip(_KERNEL_VALUES.tolist(), got, want) if g != w] == []
+
+
+def test_kernel_proves_all_but_a_thousandth_of_benchmark_shaped_values(monkeypatch):
+    # The pulse_train csv op's data: an evenly spaced t over one period and a
+    # uniform intensity.  Only 0 and roundings near a tie should reach Python.
+    rows = 100_000
+    t = np.arange(rows) * (2 * math.pi / rows)
+    intensity = np.random.default_rng(1).uniform(0.0, 100.0, rows)
+    fallbacks = []
+    monkeypatch.setattr(textio, "_json_number", lambda x: fallbacks.append(x) or _json_number(x))
+    "".join(_json_chunks({"t": t, "points": _Records({"y": intensity}, {})}))
+    assert len(fallbacks) <= 2 * rows // 1000
+
+
+# _Records whose float columns sit at uneven offsets in a row, each written
+# through its own view: two floats around a string (scan-phase's points), three
+# floats, one float between long literals.
+_LAYOUTS = {
+    "around-a-string": lambda floats, labels: ({"beta": floats(0), "label": labels,
+                                                "phi": floats(1)}, {"m": 4}),
+    "three-floats": lambda floats, labels: ({"a": floats(0), "c": floats(1), "d": floats(2)},
+                                            {"b": "x" * 5}),
+    "between-long-literals": lambda floats, labels: ({"m": floats(0)},
+                                                     {"a": "\u03b1" * 40, "z": "long " * 20}),
+}
+
+
+@pytest.mark.parametrize("rows", [1, FORMAT_CHUNK + 1, KERNEL_BLOCK + 3])
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_json_records_with_uneven_float_columns_match_the_oracle(layout, rows):
+    def floats(j):  # another stretch of the kernel's hard values per column
+        return np.resize(np.roll(_KERNEL_VALUES, -7919 * j - rows), rows)
+
+    labels = [("Dark", "Bright", 'a "100%" label')[k % 3] for k in range(rows)]
+    columns, constants = _LAYOUTS[layout](floats, labels)
+    points = [{**{k: c[r] for k, c in columns.items()}, **constants} for r in range(rows)]
+    want = json.dumps(_oracle_round_sig({"points": points}), sort_keys=True, indent=2)
+    assert "".join(_json_chunks({"points": _Records(columns, constants)})) == want
 
 
 @pytest.mark.parametrize("rows", row_counts)

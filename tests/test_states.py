@@ -1,6 +1,7 @@
 """State constructors: single photon, coherent, and two-mode N-photon states."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from brightdark.errors import CutoffError, DegenerateInputError, ResourceLimitEr
 from brightdark.fock import ModePhases, apply_field, inner_product, tensor
 from brightdark.states import (
     CoherentSpec,
+    _stars_and_bars,
     coherent_bright_dark_expansion,
     coherent_state,
     single_photon_state,
@@ -87,6 +89,16 @@ def test_coherent_quarter_ladder_cycles_through_i():
 def test_coherent_zero_alpha_is_vacuum():
     state = coherent_state(CoherentSpec(0.0, ModePhases.zero(3)))
     assert state.terms == {(0, 0, 0): pytest.approx(1.0)}
+
+
+@pytest.mark.parametrize("modes", range(1, 6))
+def test_stars_and_bars_lists_the_occupations_in_lexicographic_order(modes):
+    for total_max in range(7):
+        want = [occ for occ in itertools.product(range(total_max + 1), repeat=modes)
+                if sum(occ) <= total_max]
+        got = _stars_and_bars(modes, total_max)
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(occ) for occ in want]
 
 
 def test_coherent_norm_within_tail_tolerance():
