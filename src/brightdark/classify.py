@@ -1,9 +1,9 @@
 """Basis-free bright/dark/intermediate classification via the field operator.
 
-The coupling strength ``beta`` is the norm the field operator gives a
-normalized state at the detection phases.  For any state confined to the
-N-photon sector of M modes the maximum is ``sqrt(M*N)``; a dark state sits
-at zero, everything else is intermediate.
+The coupling strength ``beta`` is the norm the field operator gives a normalized
+state at the detection phases.  Its maximum ``sqrt(M*<N>)``, with ``<N>`` the mean
+photon number, is reached when every photon sits in the detected collective mode;
+a dark state sits at zero, everything else is intermediate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
-from .fock import ModePhases, StateVector, _lower, _significant
+from .fock import ModePhases, StateVector, _lower, _significant, _square_sums
 from .pulses import dirichlet
 from .states import CoherentSpec
 
@@ -56,24 +56,23 @@ def _check_tol(tol: float) -> None:
 def classify_fock(
     state: StateVector, detection_phases: ModePhases, tol: float = DEFAULT_TOL
 ) -> Classification:
-    """Classify a Fock-sector state: beta = |E|psi>| / |psi|.
+    """Classify a Fock-space state: beta = |E|psi>| / |psi| <= sqrt(M * <N>) = beta_max.
 
-    ``beta_max = sqrt(M * N)`` with N the highest occupied photon sector;
-    for single-photon states this is the familiar sqrt(M) enhancement.
+    With unit phase factors ``E = sqrt(M) b`` for a normalized collective mode b,
+    and ``E^dagger E = M b^dagger b <= M N``, equal when every photon sits in b:
+    the bound is the state's, not its truncation's; one photon gives sqrt(M).
     """
     _check_tol(tol)
-    norm = state.norm()
-    if norm == 0.0:
+    if state.is_zero():
         raise DegenerateInputError("cannot classify the zero vector")
-    top = state.top_sector()
-    if top == 0:
-        raise DegenerateInputError(
-            "vacuum state couples to nothing; trivially dark", vacuum=True
-        )
     lowered = _lower(state, detection_phases)[0]
     lowered = lowered[_significant(lowered)]  # as apply_field prunes
-    beta = math.sqrt(np.vdot(lowered, lowered).real) / norm
-    beta_max = math.sqrt(state.modes * top)
+    amp, photons = state._amp, state._occ @ np.ones(state.modes, dtype=np.int64)
+    (psi_sq, n_psi_sq, e_psi_sq), _ = _square_sums(amp, amp * np.sqrt(photons), lowered)
+    if n_psi_sq == 0.0:  # <N> = 0
+        raise DegenerateInputError("vacuum state couples to nothing; trivially dark", vacuum=True)
+    beta = math.sqrt(e_psi_sq) / math.sqrt(psi_sq)
+    beta_max = math.sqrt(state.modes * (n_psi_sq / psi_sq))
     return Classification(beta, _label_for(beta, beta_max, tol), beta_max, tol)
 
 

@@ -48,10 +48,10 @@ CLI_TOL = 1e-6
 
 # argparse reads an argument that starts with "-" as an option unless it matches
 # its negative-number pattern, which knows only "-5" and "-.5"; these values
-# (exponents, infinities, --phase-frac fractions) would be refused as options.
-_NEGATIVE_VALUE = re.compile(
-    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|\d+/\d+|inf|infinity|nan)$", re.IGNORECASE
-)
+# (exponents, infinities, --phase-frac fractions, complex --alpha literals such
+# as -1j, -0.5+1j or -inf-nanj) would be refused as options.
+_REAL = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
+_NEGATIVE_VALUE = re.compile(rf"^-({_REAL}([-+]{_REAL}?j)?|{_REAL}?j|\d+/\d+)$", re.IGNORECASE)
 
 
 def _emit_json(command: str, params: dict, results: dict, output: str | None) -> None:

@@ -68,6 +68,23 @@ def _significant(amp: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _square_sums(*arrays: np.ndarray) -> tuple[list[float], float]:
+    """The sums of ``|x|**2`` over each array, times ``scale**2``, and ``scale``.
+
+    ``scale`` is 1 unless a sum overflows.  Then it is the power of two that
+    brings the largest part of the first array into [0.5, 1), and every sum is
+    redone on arrays times it.  A power-of-two product is exact, so each sum
+    over ``scale**2`` and every ratio of two sums keep their bits.
+    """
+    sums = [np.vdot(x, x).real for x in arrays]
+    if max(sums) < math.inf:
+        return sums, 1.0
+    first = arrays[0]
+    largest = max(np.abs(first.real).max(initial=0.0), np.abs(first.imag).max(initial=0.0))
+    scale = 2.0 ** -math.frexp(largest)[1]
+    return [np.vdot(y, y).real for y in (x * scale for x in arrays)], scale
+
+
 def _reduce_phase(x: float) -> float:
     """Reduce a phase to [0, 2*pi); guards the x % 2pi == 2pi rounding case."""
     r = x % TWO_PI
@@ -177,13 +194,16 @@ class StateVector:
         return MappingProxyType(dict(zip(keys, self._amp.tolist())))
 
     def norm(self) -> float:
-        return math.sqrt(np.vdot(self._amp, self._amp).real)
+        (square,), scale = _square_sums(self._amp)
+        return math.sqrt(square) / scale
 
     def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
+        (square,), scale = _square_sums(self._amp)
+        if square == 0.0:
             raise ZeroDivisionError("cannot normalize the zero vector")
-        return StateVector._from_arrays(self.modes, self._occ, self._amp / n, self.cutoff)
+        # The scaled amplitudes over their norm: a norm past the float range still divides.
+        amp = self._amp * scale / math.sqrt(square)
+        return StateVector._from_arrays(self.modes, self._occ, amp, self.cutoff)
 
     def is_zero(self) -> bool:
         return self._amp.size == 0

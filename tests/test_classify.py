@@ -5,12 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brightdark import classify
 from brightdark.classify import Label, classify_coherent, classify_fock, scan_phase
 from brightdark.errors import DegenerateInputError, ResourceLimitError
 from brightdark.fock import ModePhases, StateVector, vacuum
-from brightdark.states import CoherentSpec, single_photon_state, two_mode_bright, two_mode_dark
+from brightdark.states import (
+    CoherentSpec,
+    coherent_state,
+    single_photon_state,
+    two_mode_bright,
+    two_mode_dark,
+)
 
 
 def geometric_beta(m, phi):
@@ -206,3 +214,83 @@ def test_label_rule_at_its_edges(beta_max, tol):
     column = classify._label_for(np.array(betas), beta_max, tol)
     assert all(got is label for got, label in zip(scalar, want))
     assert all(got is label for got, label in zip(column.tolist(), want))
+
+
+def test_truncated_coherent_state_is_bright_at_its_own_bound():
+    # Bounded by the 25-photon cutoff, sqrt(4 * 25) = 10, this state read Intermediate.
+    state = coherent_state(CoherentSpec(1.0, ModePhases.zero(4)))
+    for tol in (1e-6, 1e-10):
+        result = classify_fock(state, ModePhases.zero(4), tol)
+        assert result.label is Label.BRIGHT
+        assert result.beta_max == pytest.approx(3.99999999999734, rel=1e-12)
+        assert result.beta <= result.beta_max
+
+
+_mode_phases = st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    modes=st.integers(2, 4),
+    size=st.floats(0.3, 1.0),
+    arg=st.floats(0.0, 2 * math.pi),
+    theta=_mode_phases,
+    detection=_mode_phases,
+    tol=st.sampled_from([1e-10, 1e-6]),
+)
+def test_fock_and_coherent_families_share_one_label_rule(modes, size, arg, theta, detection, tol):
+    spec = CoherentSpec(cmath.rect(size, arg), ModePhases(modes, tuple(theta[:modes])))
+    phases = ModePhases(modes, tuple(detection[:modes]))
+    fock = classify_fock(coherent_state(spec), phases, tol)
+    coherent = classify_coherent(spec, phases, tol)
+    ratio = coherent.beta / coherent.beta_max
+    assert fock.beta / fock.beta_max == pytest.approx(ratio, abs=1e-9)
+    if min(abs(ratio - tol), abs(ratio - 1.0 + tol)) > 1e-8:
+        assert fock.label is coherent.label
+
+
+@pytest.mark.parametrize("step", [0.0, 0.4, math.pi])
+def test_truncation_does_not_steer_the_label(step):
+    spec = CoherentSpec(0.8, ModePhases.locked(3, step))
+    needed = spec.resolved_cutoff()
+    results = [
+        classify_fock(coherent_state(CoherentSpec(spec.alpha, spec.phases, n_max=needed + extra)),
+                      ModePhases.zero(3), 1e-6)
+        for extra in (0, 5, 10)
+    ]
+    assert len({r.label for r in results}) == 1
+    beta_max = [r.beta_max for r in results]
+    assert max(beta_max) - min(beta_max) <= 1e-9 * min(beta_max)
+
+
+@pytest.mark.parametrize("photons", [1, 5, 20, 60])
+def test_dark_ladder_stays_dark_to_twelve_digits(photons):
+    # A quadratic form in the detection phases would leave residues near 1e-7 here.
+    for phi in np.random.default_rng(photons).uniform(0.0, 2 * math.pi, 5):
+        result = classify_fock(two_mode_dark(photons, phi), ModePhases(2, (0.0, phi)))
+        assert result.beta <= 1e-12 * result.beta_max
+        assert result.label is Label.DARK
+
+
+_UNIT_STATES = {
+    "single-photon": lambda: single_photon_state(ModePhases.locked(4, 0.3)),
+    "bright-ladder": lambda: two_mode_bright(5, 0.4),
+    "coherent": lambda: coherent_state(CoherentSpec(0.5, ModePhases.locked(3, 0.2))),
+}
+
+
+@pytest.mark.parametrize("build", _UNIT_STATES.values(), ids=_UNIT_STATES.keys())
+def test_classification_survives_overflowing_squares(build):
+    state = build()
+    want = classify_fock(state, ModePhases.zero(state.modes))
+    for k in (1, 100, 511, 512, 513, 800, 1000, 1020):  # sums of squares overflow past 511
+        scaled = StateVector._from_arrays(state.modes, state._occ, state._amp * 2.0**k, state.cutoff)
+        assert classify_fock(scaled, ModePhases.zero(state.modes)) == want
+
+
+def test_dark_state_survives_overflowing_squares():
+    scaled = StateVector(2, {(1, 0): 3e154, (0, 1): -3e154}, 1)
+    result = classify_fock(scaled, ModePhases.zero(2))
+    assert result.label is Label.DARK and result.beta_max == math.sqrt(2)
+    result = classify_fock(StateVector(2, {(1, 0): 3e154, (0, 1): 4e154}, 1), ModePhases.zero(2))
+    assert result.beta == pytest.approx(1.4, rel=1e-15) and result.label is Label.INTERMEDIATE

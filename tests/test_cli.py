@@ -600,6 +600,13 @@ def _no_constant(name):
     raise AssertionError(f"{name} is not JSON")
 
 
+def _assert_valid_document(out):
+    """An exit-0 document is strict JSON, and every beta it holds is within its beta_max."""
+    results = json.loads(out, parse_constant=_no_constant)["results"]
+    for point in results.get("points", [results]):
+        assert "beta" not in point or point["beta"] <= point["beta_max"], point
+
+
 _extreme_floats = st.one_of(
     st.sampled_from([0.0, math.nan, math.inf, -math.inf]),
     st.floats(1e-320, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
@@ -634,7 +641,7 @@ def test_cli_contract_on_float_extremes(capsys, command, values, unlocked):
     out, err = capsys.readouterr()
     assert code in (0, 2, 3)
     if code == 0:
-        json.loads(out, parse_constant=_no_constant)
+        _assert_valid_document(out)
     else:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
@@ -674,12 +681,34 @@ def test_cli_contract_on_int_extremes(capsys, monkeypatch, case):
         try:
             assert code in (0, 2, 3)
             if code == 0:
-                json.loads(out, parse_constant=_no_constant)
+                _assert_valid_document(out)
             else:
                 assert out == "" and err.count("error:") == 1
         except AssertionError:
             broken.append((argv, code, err[-200:]))
     assert not broken, f"{len(broken)} argv break the contract, first: {broken[0]}"
+
+
+_MALFORMED = {  # flag: text that no parse or check should take
+    "--phase-frac": ["1/", "/4", "1/2/3", "1.5/4", "1/0", "1/-4", "-1/0", ""],
+    "--alpha": ["1+", "(", "1+2", "nan", "-infj", "1e999j", "-nanj", "j1", "1jj", "--1j"],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, text", [(flag, text) for flag, texts in _MALFORMED.items() for text in texts]
+)
+@pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+def test_cli_contract_on_malformed_text(capsys, flag, text, joined):
+    argv = ["classify", "--m", "4", "--family", "coherent"]
+    argv += [] if flag == "--phase-frac" else ["--phase", "0.5"]
+    argv += [f"{flag}={text}"] if joined else [flag, text]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the text
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "error:" in err
 
 
 def test_scan_phase_counts(capsys):
@@ -805,6 +834,9 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, ou
     assert _tree(tmp_path) == before
 
 
+_COHERENT_ALPHA = ["classify", "--m", "4", "--phase", "0.5", "--family", "coherent", "--alpha"]
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [
@@ -814,6 +846,8 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys, ou
         (["classify", "--m", "4", "--tol", "1e-3", "--phase"], "-.5e0"),
         (["pulse-train", "--n-side", "2", "--samples", "32", "--phi"], "-1e5"),
         (["scan-phase", "--m", "4", "--grid", "8", "--tol"], "-1e-3"),
+        *((_COHERENT_ALPHA, value) for value in
+          ["-1j", "-0.5+1j", "-1-2j", "-j", "-1+j", "-2.5E-1-1e+2J", "-.5j", "-inf+0j"]),
     ],
 )
 def test_negative_values_with_exponents_are_values(capsys, argv, value):
@@ -821,6 +855,17 @@ def test_negative_values_with_exponents_are_values(capsys, argv, value):
     captured = capsys.readouterr()
     assert main(argv[:-1] + [f"{argv[-1]}={value}"]) == code
     assert capsys.readouterr() == captured
+
+
+def test_options_stay_options_beside_complex_values(capsys):
+    code, doc = run_json(capsys, _COHERENT_ALPHA + ["-0.5+1j", "--tol", "1e-3"])
+    assert code == 0 and doc["params"]["tol"] == 1e-3 and doc["params"]["alpha"] == "(-0.5+1j)"
+    with pytest.raises(SystemExit) as exc:
+        main(_COHERENT_ALPHA + ["-h"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "-h"])
+    assert exc.value.code == 0 and "--alpha" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("bad", ["-inf", "-Infinity", "-nan"])

@@ -263,3 +263,23 @@ def test_locked_phase_ladder_steps():
     for m in range(1, 5):
         assert raw[m] - raw[m - 1] == step
     np.testing.assert_allclose(phases.theta, raw, atol=0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 100, 511, 512, 513, 800, 1000, 1020])
+def test_norm_and_normalized_survive_overflowing_squares(k):
+    # The sum of squares, about 4**k, overflows from k = 513; the power-of-two rescale is exact.
+    state = coherent_state(CoherentSpec(0.5, ModePhases.locked(3, 0.2)))
+    scaled = StateVector._from_arrays(state.modes, state._occ, state._amp * 2.0**k, state.cutoff)
+    assert scaled.norm() == state.norm() * 2.0**k
+    normalized = scaled.normalized()
+    assert np.array_equal(normalized._occ, state._occ)
+    assert np.array_equal(normalized._amp, state.normalized()._amp)
+
+
+def test_normalized_keeps_a_norm_past_the_float_range():
+    state = StateVector(2, {(1, 0): 3e154, (0, 1): 4e154}, 1)
+    assert state.norm() == pytest.approx(5e154, rel=1e-15)
+    big = StateVector(2, {(1, 0): 1.5e308, (0, 1): -1.5e308}, 1)
+    assert big.norm() == math.inf
+    for got, want in ((state, [0.6, 0.8]), (big, [SQRT2 / 2, -SQRT2 / 2])):
+        assert got.normalized()._amp == pytest.approx(want, rel=1e-15)

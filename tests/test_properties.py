@@ -444,6 +444,21 @@ def test_classify_fock_beta_matches_dict_oracle(case):
     assert classify_fock(state, phases).beta == pytest.approx(beta, rel=1e-12, abs=1e-15)
 
 
+@settings(max_examples=100)
+@given(fock_states())
+def test_classify_fock_beta_within_its_mean_photon_bound(case):
+    # E^dagger E <= M N for unit phase factors, so beta <= sqrt(M <N>) for every state.
+    state, phases = case
+    if state.is_zero() or state.top_sector() == 0:
+        return
+    result = classify_fock(state, phases)
+    weights = np.abs(state._amp) ** 2
+    assert result.beta_max == pytest.approx(
+        math.sqrt(state.modes * (weights @ state._occ.sum(axis=1)) / weights.sum()), rel=1e-12
+    )
+    assert result.beta <= result.beta_max * (1 + 1e-12)
+
+
 @given(
     st.integers(min_value=2, max_value=6),
     st.floats(min_value=-1.0, max_value=1.0),
