@@ -67,8 +67,8 @@ def classify_fock(
         raise DegenerateInputError("cannot classify the zero vector")
     lowered = _lower(state, detection_phases)[0]
     lowered = lowered[_significant(lowered)]  # as apply_field prunes
-    amp, photons = state._amp, state._occ @ np.ones(state.modes, dtype=np.int64)
-    (psi_sq, n_psi_sq, e_psi_sq), _ = _square_sums(amp, amp * np.sqrt(photons), lowered)
+    amp = state._amp
+    (psi_sq, n_psi_sq, e_psi_sq), _ = _square_sums(amp, amp * np.sqrt(state._photons), lowered)
     if n_psi_sq == 0.0:  # <N> = 0
         raise DegenerateInputError("vacuum state couples to nothing; trivially dark", vacuum=True)
     beta = math.sqrt(e_psi_sq) / math.sqrt(psi_sq)

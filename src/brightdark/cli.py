@@ -25,6 +25,7 @@ import os
 import re
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,12 +47,19 @@ EXIT_INTERNAL = 4
 CLI_TOL = 1e-6
 
 
-# argparse reads an argument that starts with "-" as an option unless it matches
-# its negative-number pattern, which knows only "-5" and "-.5"; these values
-# (exponents, infinities, --phase-frac fractions, complex --alpha literals such
-# as -1j, -0.5+1j or -inf-nanj) would be refused as options.
-_REAL = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
-_NEGATIVE_VALUE = re.compile(rf"^-({_REAL}([-+]{_REAL}?j)?|{_REAL}?j|\d+/\d+)$", re.IGNORECASE)
+# argparse reads an argument that starts with "-" as an option unless its
+# negative-number matcher matches it, and its own pattern knows only "-5" and
+# "-.5".  Ours takes every number complex() reads (-1_0, -1e5, -inf, -1j,
+# -0.5+1j) and the --phase-frac fractions -K/M; int() then judges K and M.
+def _is_value(text: str) -> bool:
+    try:
+        complex(text)
+    except ValueError:
+        return re.fullmatch(r"-[\d_]+/[\d_]+", text) is not None
+    return True
+
+
+_NEGATIVE_VALUE = SimpleNamespace(match=_is_value)
 
 
 def _emit_json(command: str, params: dict, results: dict, output: str | None) -> None:
@@ -87,24 +95,22 @@ def cmd_pulse_train(args) -> None:
         series = unlocked_intensity(field, args.seed, args.samples, args.periods)
         # The mean of the whole series, which builds it: the mean of one period
         # can differ from it in the last bits.
+        intensity = series.intensity
         with np.errstate(over="ignore"):  # an overflowing sum is refused below
-            mean = float(np.mean(series.intensity))
+            mean = float(np.mean(intensity))
         if not math.isfinite(mean):
             raise ValueError(f"the intensity sum overflows at e0={args.e0}")
-        metrics = {
-            "mean_intensity": mean,
-            "max_intensity": float(np.max(series.intensity)),
-        }
+        metrics = {"mean_intensity": mean, "max_intensity": float(np.max(intensity))}
     else:
         series = intensity_series(field, args.samples, args.periods)
         metrics = dataclasses.asdict(pulse_metrics(series))
     if args.format == "csv":
-        _write_chunks(_csv_chunks(series.metadata, series._columns(), metrics), args.output)
+        _write_chunks(_csv_chunks(series.metadata, series._columns, metrics), args.output)
     else:
         params = _params(args, "format", "seed")
         if args.unlocked:
             params["seed"] = args.seed
-        t, intensity = series._columns()
+        t, intensity = series._columns
         results = {
             "metadata": series.metadata,
             "metrics": metrics,

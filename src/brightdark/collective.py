@@ -55,7 +55,7 @@ def build_basis(modes: int, kind: str) -> CollectiveBasis:
 
 def _single_photon_vector(state: StateVector) -> np.ndarray:
     """Amplitudes <m|state); rejects anything outside the one-photon sector."""
-    wrong = state._occ.sum(axis=1) != 1
+    wrong = state._photons != 1
     if wrong.any():
         raise SectorError(
             f"collective decomposition needs a single-photon state, "

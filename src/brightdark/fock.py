@@ -126,9 +126,9 @@ class ModePhases:
 class StateVector:
     """Pure state of ``modes`` bosonic modes, truncated at ``cutoff`` total photons.
 
-    The terms are held as a ``(T, modes)`` int64 occupation matrix and a
-    length-T amplitude vector.  ``terms``, the read-only map from occupation
-    tuples to amplitudes, is built from them the first time it is read.
+    The terms are held as a ``(T, modes)`` int64 occupation matrix, a length-T
+    amplitude vector and the T photon totals.  ``terms``, the read-only map from
+    occupation tuples to amplitudes, is built from them the first time it is read.
     Instances are immutable values: every operation returns a new StateVector.
     """
 
@@ -181,10 +181,11 @@ class StateVector:
             raise ValueError(f"amplitudes must be finite, got {amp[~np.isfinite(amp)][0]}")
         keep = _significant(amp)
         if not keep.all():
-            occ, amp = occ[keep], amp[keep]
-            top = int(totals[keep].max(initial=0))
+            occ, amp, totals = occ[keep], amp[keep], totals[keep]
+            top = int(totals.max(initial=0))
         # Straight into the instance dict: __setattr__ refuses every write.
-        self.__dict__.update(modes=modes, cutoff=cutoff, _occ=occ, _amp=amp, _top=top)
+        self.__dict__.update(modes=modes, cutoff=cutoff, _occ=occ, _amp=amp, _photons=totals,
+                             _top=top)
 
     @cached_property
     def terms(self) -> Mapping[tuple[int, ...], complex]:
@@ -249,7 +250,7 @@ def annihilate(state: StateVector, mode: int) -> StateVector:
 def create(state: StateVector, mode: int) -> StateVector:
     """Apply a_mode^dagger; terms raised past the cutoff are truncated away."""
     _check_mode(state, mode)
-    keep = state._occ.sum(axis=1) < state.cutoff
+    keep = state._photons < state.cutoff
     occ = state._occ[keep]
     occ[:, mode] += 1  # one-to-one, as in annihilate
     amp = np.sqrt(occ[:, mode]) * state._amp[keep]

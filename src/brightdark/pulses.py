@@ -10,9 +10,9 @@ with peak ``E0 * m_total`` repeating every round-trip period
 phases) keeps the mean intensity but destroys the peaks.
 
 Both series are exactly periodic, so an IntensitySeries of the library holds
-one period of S samples and the period count P, never S*P values: its ``t``
-and ``intensity`` arrays are built on first read and kept, and the writers
-take their rows from the period a chunk at a time.
+one period of S samples and the period count P, never S*P values: each read
+of its ``t`` or ``intensity`` builds the array, and the writers take their
+rows from the period a chunk at a time.
 
 The writers' text, and the '%.12g' kernel behind it, live in textio.
 """
@@ -129,52 +129,25 @@ class IntensitySeries:
     """Samples ``intensity`` at times ``t``, with the parameters that made them as
     ``metadata``, in the order of the CSV header.
 
-    ``IntensitySeries(t, intensity, metadata)`` holds the arrays it is given.
-    The series of intensity_series and unlocked_intensity hold one period of S
-    samples and the period count P instead (_periodic): ``t`` and ``intensity``
-    are built, S*P values each, on first read and kept.  The writers read
-    either form through _columns, a chunk of rows at a time.
+    A series is two float columns, ``_columns = (t, intensity)``: a textio._Column
+    is kept as given, anything else as a float array.  ``t`` and ``intensity``
+    read a whole column and keep nothing, so each read of a _Column builds the
+    array again; the writers slice the columns a chunk of rows at a time.
     """
 
     def __init__(self, t, intensity, metadata=None):
-        self._t, self._intensity = t, intensity
+        self._columns = tuple(
+            c if isinstance(c, _Column) else np.asarray(c, dtype=float) for c in (t, intensity)
+        )
         self.metadata = {} if metadata is None else metadata
-        self._period = None
-
-    @classmethod
-    def _periodic(cls, period: np.ndarray, periods: int, step: float, metadata: dict):
-        """``periods`` copies of ``period``, sampled every ``step`` from t = 0."""
-        series = cls(None, None, metadata)
-        series._period, series._periods, series._step = period, periods, step
-        return series
 
     @property
-    def t(self):
-        if self._t is None:
-            self._t = _grid(0, len(self._period) * self._periods, self._step)
-        return self._t
+    def t(self) -> np.ndarray:
+        return self._columns[0][:]
 
     @property
-    def intensity(self):
-        if self._intensity is None:
-            self._intensity = np.tile(self._period, self._periods)
-        return self._intensity
-
-    def _columns(self):
-        """(t, intensity) as float columns sliced [lo:hi] by the writers: the arrays
-        held, or columns that build each slice from the period."""
-        if self._period is None:
-            return np.asarray(self._t, dtype=float), np.asarray(self._intensity, dtype=float)
-        size = len(self._period) * self._periods
-        return _Column(size, lambda lo, hi: _grid(lo, hi, self._step)), _Column(size, self._repeat)
-
-    def _repeat(self, lo: int, hi: int) -> np.ndarray:
-        """Samples lo..hi-1 of the period repeated: a view of the period unless
-        they wrap, for a gather costs more than the chunk's copy into the writer."""
-        k = lo % len(self._period)
-        if k + hi - lo <= len(self._period):
-            return self._period[k : k + hi - lo]
-        return self._period.take(np.arange(lo, hi), mode="wrap")
+    def intensity(self) -> np.ndarray:
+        return self._columns[1][:]
 
 
 def _periodic_series(field_: LaserField, one_period: np.ndarray, periods: int, step: float,
@@ -201,7 +174,21 @@ def _periodic_series(field_: LaserField, one_period: np.ndarray, periods: int, s
             f"samples_per_period={samples_per_period} under-resolves the main "
             f"lobe; need >= {4 * field_.m_total}"
         )
-    return IntensitySeries._periodic(one_period, periods, step, meta)
+
+    def repeat(lo: int, hi: int) -> np.ndarray:
+        # Rows lo..hi-1: a view of the period unless they wrap.  Then the period from
+        # row lo on and as much of its start as they need (all of it past one period),
+        # resized to them: a chunk that wraps copies no more than itself.
+        k, n = lo % samples_per_period, hi - lo
+        if k + n <= samples_per_period:
+            return one_period[k : k + n]
+        head = one_period[: min(k, k + n - samples_per_period)]
+        return np.resize(np.concatenate((one_period[k:], head)), n)
+
+    one_period.setflags(write=False)  # reads within a period are views: none may write it
+    size = samples_per_period * periods
+    t = _Column(size, lambda lo, hi: _grid(lo, hi, step))
+    return IntensitySeries(t, _Column(size, repeat), meta)
 
 
 def _time_step(field_: LaserField, samples_per_period: int, periods: int) -> float:
@@ -270,7 +257,7 @@ def pulse_metrics(series: IntensitySeries) -> PulseMetrics:
     if not meta.get("resolution_ok", False):
         raise ResolutionError(meta.get("warning", "series under-resolved"))
     samples = meta["samples_per_period"]
-    _, column = series._columns()
+    _, column = series._columns
     if len(column) < samples:
         raise ResolutionError("series shorter than one period")
     period = 2.0 * math.pi / meta["delta_omega"]
@@ -297,4 +284,4 @@ def pulse_metrics(series: IntensitySeries) -> PulseMetrics:
 
 def series_to_csv(series: IntensitySeries) -> str:
     """CSV with a commented header recording the grid and field parameters."""
-    return "".join(_csv_chunks(series.metadata, series._columns(), {}))
+    return "".join(_csv_chunks(series.metadata, series._columns, {}))

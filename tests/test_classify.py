@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from brightdark import classify
 from brightdark.classify import Label, classify_coherent, classify_fock, scan_phase
-from brightdark.errors import DegenerateInputError, ResourceLimitError
+from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from brightdark.fock import ModePhases, StateVector, vacuum
 from brightdark.states import (
     CoherentSpec,
@@ -140,6 +140,11 @@ def test_zero_alpha_is_degenerate():
     with pytest.raises(DegenerateInputError) as err:
         classify_coherent(CoherentSpec(0.0, ModePhases.zero(2)), ModePhases.zero(2))
     assert err.value.vacuum
+
+
+def test_coherent_detection_phases_must_match_the_modes():
+    with pytest.raises(DimensionMismatchError, match="2 detection phases for 3 modes"):
+        classify_coherent(CoherentSpec(1.0, ModePhases.zero(3)), ModePhases.zero(2))
 
 
 def test_tol_range_is_validated():

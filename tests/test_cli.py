@@ -848,6 +848,11 @@ _COHERENT_ALPHA = ["classify", "--m", "4", "--phase", "0.5", "--family", "cohere
         (["scan-phase", "--m", "4", "--grid", "8", "--tol"], "-1e-3"),
         *((_COHERENT_ALPHA, value) for value in
           ["-1j", "-0.5+1j", "-1-2j", "-j", "-1+j", "-2.5E-1-1e+2J", "-.5j", "-inf+0j"]),
+        # Underscored digits, which complex() and float() read.
+        (["classify", "--m", "4", "--phase"], "-1_0"),
+        (["pulse-train", "--n-side", "2", "--samples", "32", "--phi"], "-1_000.5"),
+        (_COHERENT_ALPHA, "-1_0j"),
+        (["classify", "--m", "7", "--phase-frac"], "-1_0/7"),
     ],
 )
 def test_negative_values_with_exponents_are_values(capsys, argv, value):

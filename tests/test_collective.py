@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import hadamard
 
 from brightdark.collective import build_basis, from_collective, to_collective
-from brightdark.errors import SectorError, UnsupportedBasisError
+from brightdark.errors import DimensionMismatchError, SectorError, UnsupportedBasisError
 from brightdark.fock import ModePhases, StateVector
 from brightdark.states import single_photon_state, two_mode_bright
 
@@ -136,6 +136,33 @@ def test_round_trip():
 def test_multi_photon_input_rejected():
     with pytest.raises(SectorError):
         to_collective(two_mode_bright(2), build_basis(2, "dft"), ModePhases.zero(2))
+
+
+_PHOTON3, _DFT2, _DFT3 = (
+    single_photon_state(ModePhases.zero(3)), build_basis(2, "dft"), build_basis(3, "dft")
+)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: build_basis(0, "dft"), ValueError, "at least one mode"),
+        (lambda: build_basis(4, "walsh"), UnsupportedBasisError, "unknown basis kind"),
+        (lambda: to_collective(_PHOTON3, _DFT2, ModePhases.zero(3)), DimensionMismatchError,
+         "2-mode basis applied to a 3-mode state"),
+        (lambda: to_collective(_PHOTON3, _DFT3, ModePhases.zero(2)), DimensionMismatchError,
+         "2 reference phases for 3 modes"),
+        (lambda: from_collective(np.ones(2), _DFT3, ModePhases.zero(3)), DimensionMismatchError,
+         "coefficients for a 3-mode basis"),
+        (lambda: from_collective(np.ones(3), _DFT3, ModePhases.zero(2)), DimensionMismatchError,
+         "2 reference phases for 3 modes"),
+    ],
+    ids=["no-modes", "unknown-kind", "to-basis", "to-phases", "from-coefficients",
+         "from-phases"],
+)
+def test_mismatched_bases_and_mode_counts_are_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_coefficient_norm_matches_state_norm():

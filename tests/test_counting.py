@@ -125,6 +125,12 @@ def test_ratio_small(m, expected):
     assert bright_to_dark_ratio(m) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("count", [bright_to_dark_ratio, locked_dark_phases])
+def test_ratio_and_dark_phases_need_two_modes(count):
+    with pytest.raises(ValueError, match="at least 2 modes"):
+        count(1)
+
+
 def test_ratio_large_m():
     assert bright_to_dark_ratio(40000) == pytest.approx(2.50006e-5, rel=1e-4)
 

@@ -249,6 +249,26 @@ def test_state_vector_rejects_over_cutoff_terms():
         StateVector(2, {(2, 1): 1.0}, cutoff=2)
 
 
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: ModePhases(0, ()), ValueError, "at least one mode"),
+        (lambda: ModePhases(3, (0.0, 1.0)), DimensionMismatchError, "2 phases for 3 modes"),
+        (lambda: StateVector(0), ValueError, "at least one mode"),
+        (lambda: StateVector(2, {(1,): 1.0}), DimensionMismatchError, "1 entries for 2 modes"),
+        (lambda: StateVector(2, {(-1, 1): 1.0}, 1), ValueError, "negative occupation"),
+        (lambda: StateVector(1, cutoff=-1), ValueError, "cutoff must be non-negative"),
+        (lambda: vacuum(0), ValueError, "at least one mode"),
+        (lambda: StateVector(2).normalized(), ZeroDivisionError, "zero vector"),
+    ],
+    ids=["no-phases", "phase-count", "no-modes", "short-row", "negative", "cutoff", "vacuum",
+         "normalize-empty"],
+)
+def test_malformed_phases_and_states_are_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_mode_phases_reduce_to_standard_interval():
     phases = ModePhases(3, (-0.1, 7.0, 2 * math.pi))
     for theta in phases.theta:

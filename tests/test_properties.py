@@ -361,6 +361,23 @@ def test_ladder_and_tensor_match_dict_oracles(case, other, data):
 
 
 @settings(max_examples=100)
+@given(fock_states(), fock_states(), st.data())
+def test_photon_totals_are_the_row_sums(case, other, data):
+    # The drawn amplitudes near PRUNE_THRESHOLD make every operation prune rows,
+    # and the totals must be pruned with them.
+    (state, phases), other = case, other[0]
+    mode = data.draw(st.integers(min_value=0, max_value=state.modes - 1))
+    alpha = data.draw(st.complex_numbers(min_magnitude=0.05, max_magnitude=0.6))
+    built = [state, annihilate(state, mode), create(state, mode), apply_field(state, phases),
+             tensor(state, other), coherent_state(CoherentSpec(alpha, ModePhases.zero(2)))]
+    if not state.is_zero():
+        built.append(state.normalized())
+    for out in built:
+        assert out._photons.dtype == np.int64
+        assert out._photons.tolist() == out._occ.sum(axis=1).tolist()
+
+
+@settings(max_examples=100)
 @given(fock_states(), st.data())
 def test_inner_product_and_lookup_match_dict_oracles(case, data):
     # The two draws share a mode count; their supports overlap, are disjoint

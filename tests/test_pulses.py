@@ -274,6 +274,18 @@ def test_metrics_refuse_underresolved_series():
         pulse_metrics(series)
 
 
+@pytest.mark.parametrize(
+    "rows, intensity, match",
+    [(63, None, "shorter than one period"), (64, np.ones(64), "no half-maximum crossing")],
+    ids=["short", "flat"],
+)
+def test_metrics_refuse_a_series_they_cannot_measure(rows, intensity, match):
+    series = intensity_series(LaserField(n_side=2), samples_per_period=64)
+    intensity = series.intensity[:rows] if intensity is None else intensity
+    with pytest.raises(ResolutionError, match=match):
+        pulse_metrics(IntensitySeries(series.t[:rows], intensity, series.metadata))
+
+
 def test_unlocked_is_deterministic_per_seed():
     field = LaserField(n_side=10)
     a = unlocked_intensity(field, seed=42, samples_per_period=128, periods=3)
@@ -357,7 +369,7 @@ def _random_series(seed, rows):
 
 def _csv_writer(seed, rows):
     series = _random_series(seed, rows)
-    return lambda: _csv_chunks(series.metadata, series._columns(), {})
+    return lambda: _csv_chunks(series.metadata, series._columns, {})
 
 
 def _json_writer(seed, rows):
@@ -426,11 +438,11 @@ def _same(a, b):
 @pytest.mark.parametrize("kind", ["locked", "unlocked"])
 def test_library_series_write_the_bytes_of_their_arrays(kind, samples, periods):
     series = _library_series(kind, periods, samples)
-    texts = _texts(series, *series._columns())
+    texts = _texts(series, *series._columns)
     copy = IntensitySeries(series.t, series.intensity, series.metadata)
     assert _same(texts, _texts(copy, copy.t, copy.intensity))
     # Reading the arrays does not change what the series writes.
-    assert _same(texts, _texts(series, *series._columns()))
+    assert _same(texts, _texts(series, *series._columns))
     assert len(texts[0].splitlines()) == len(series.metadata) + 1 + samples * periods
 
 
@@ -439,11 +451,23 @@ def test_library_series_grid_and_metrics_match_the_arrays(kind):
     series = _library_series(kind, 7)
     step = LaserField(n_side=3, delta_omega=0.8).period / 1000
     assert series.t.tobytes() == (np.arange(7000) * step).tobytes()
-    assert series.t is series.t and series.intensity is series.intensity
+    # Each read builds the column again: equal arrays, not one kept array.
+    for read in (lambda: series.t, lambda: series.intensity):
+        first, second = read(), read()
+        assert first is not second and first.tobytes() == second.tobytes()
     assert series.intensity.tobytes() == np.tile(series.intensity[:1000], 7).tobytes()
     if kind == "locked":
         copy = IntensitySeries(series.t, series.intensity, series.metadata)
         assert pulse_metrics(series) == pulse_metrics(copy)
+
+
+@pytest.mark.parametrize("kind", ["locked", "unlocked"])
+def test_one_period_series_lends_no_writable_view_of_its_period(kind):
+    series = _library_series(kind, 1)
+    text = series_to_csv(series)
+    with pytest.raises(ValueError, match="read-only"):
+        series.intensity[0] = 0.0
+    assert _same(series_to_csv(series), text)
 
 
 def _peak_bytes(call):

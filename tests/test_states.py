@@ -128,6 +128,11 @@ def test_cutoff_for_large_mean_photon_number():
     assert CoherentSpec(30, ModePhases.zero(8)).required_cutoff() == 7805
 
 
+def test_cutoff_for_a_vanishing_mean_photon_number():
+    # Every term of the tail sum stays below cutoff_prob: the search falls through to 0.
+    assert CoherentSpec(1e-8, ModePhases.zero(2)).required_cutoff() == 0
+
+
 def test_coherent_build_past_term_bound_is_refused():
     # Cutoff 35 over 8 modes would expand into C(43, 8) ~ 1.45e8 terms.
     with pytest.raises(ResourceLimitError):
@@ -251,6 +256,11 @@ def test_expansion_sign_symmetry():
 def test_expansion_rejects_bad_branch():
     with pytest.raises(ValueError):
         coherent_bright_dark_expansion(0.3, 4, "grey")
+
+
+def test_expansion_rejects_a_negative_cutoff():
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        coherent_bright_dark_expansion(0.5, -1, "bright")
 
 
 @pytest.mark.parametrize(
