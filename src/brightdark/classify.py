@@ -61,6 +61,8 @@ def classify_fock(
     With unit phase factors ``E = sqrt(M) b`` for a normalized collective mode b,
     and ``E^dagger E = M b^dagger b <= M N``, equal when every photon sits in b:
     the bound is the state's, not its truncation's; one photon gives sqrt(M).
+    The inequality is exact, so beta above beta_max is rounding in the two sums
+    (a state with every photon in b can read an ulp over); beta is clamped to it.
     """
     _check_tol(tol)
     if state.is_zero():
@@ -71,8 +73,8 @@ def classify_fock(
     (psi_sq, n_psi_sq, e_psi_sq), _ = _square_sums(amp, amp * np.sqrt(state._photons), lowered)
     if n_psi_sq == 0.0:  # <N> = 0
         raise DegenerateInputError("vacuum state couples to nothing; trivially dark", vacuum=True)
-    beta = math.sqrt(e_psi_sq) / math.sqrt(psi_sq)
     beta_max = math.sqrt(state.modes * (n_psi_sq / psi_sq))
+    beta = min(math.sqrt(e_psi_sq) / math.sqrt(psi_sq), beta_max)
     return Classification(beta, _label_for(beta, beta_max, tol), beta_max, tol)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SectorError, UnsupportedBasisError
 from .fock import ModePhases, StateVector
+from .states import _one_photon_layout
 
 BASIS_KINDS = ("hadamard", "dft")
 
@@ -101,4 +102,4 @@ def from_collective(
             f"{reference_phases.modes} reference phases for {basis.modes} modes"
         )
     vec = np.exp(-1j * np.asarray(reference_phases.theta)) * (basis.matrix.T @ coefficients)
-    return StateVector._from_arrays(basis.modes, np.eye(basis.modes, dtype=np.int64), vec, 1)
+    return StateVector._from_arrays(basis.modes, _one_photon_layout(basis.modes), vec, 1)

@@ -1,19 +1,25 @@
 """Sparse truncated Fock space for M bosonic modes.
 
-A state is stored as an occupation matrix (one row ``(n_0, ..., n_{M-1})``
-per term) and an amplitude vector; only nonzero terms are kept.  Lookups
-match a row, inner products pair the sorted rows of two states, and ladder
-operators, tensor products and the detection-point field operator
+A state is stored as an occupation layout (one row ``(n_0, ..., n_{M-1})``
+per term, read-only, with the row totals, validated once) and an amplitude
+vector; only nonzero terms are kept.  States built on the same occupations
+share one layout: ``normalized`` keeps its state's, and the constructors
+whose occupations depend only on a size take theirs from a cache of at
+most LAYOUT_CACHE_BYTES (``_shared_layout``).  Lookups match a row, inner
+products pair the sorted rows of two states, and ladder operators, tensor
+products and the detection-point field operator
 ``E = sum_m exp(i*theta_m) a_m`` (``a_m`` lowers mode ``m``) index the
 arrays; ``terms`` is a read-only tuple-keyed view for outside callers.
 The field operator ranks occupations in the combinatorial number system.
 Ranks are exact in int64 while ``C(top + M, M) < 2**63`` (``top`` the
 highest occupied sector), and the rank table has ``(M + 1) * (top + 1)``
 cells; past either bound (``RANK_LIMIT``, ``RANK_TABLE_MAX``) it raises
-ResourceLimitError before allocating.
+ResourceLimitError before allocating.  Its lowering of a layout, the
+output slot of every occupied entry, belongs to the layout: a cached
+layout keeps it, any other makes it per call.
 
-The kernels make flat passes over the ``(T, M)`` arrays.  With M a few
-modes, numpy runs a broadcast multi-index gather, ``sum(axis=1)`` or
+The kernels make flat passes over blocks of _BLOCK occupation cells.  With
+M a few modes, numpy runs a broadcast multi-index gather, ``sum(axis=1)`` or
 ``cumsum(axis=1)`` as one short inner loop per row, at 4-5 ns an element
 (numpy 2.4, one x86-64 core), where a ``take`` from the raveled table costs
 about 0.8 ns, a product with ``ones(M)`` about 1 ns and the M - 1 column
@@ -27,10 +33,12 @@ The prune mask squares the amplitudes (2.6 ns a value) and calls ``hypot``
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,18 +79,21 @@ def _significant(amp: np.ndarray) -> np.ndarray:
 def _square_sums(*arrays: np.ndarray) -> tuple[list[float], float]:
     """The sums of ``|x|**2`` over each array, times ``scale**2``, and ``scale``.
 
-    ``scale`` is 1 unless a sum overflows.  Then it is the power of two that
-    brings the largest part of the first array into [0.5, 1), and every sum is
-    redone on arrays times it.  A power-of-two product is exact, so each sum
-    over ``scale**2`` and every ratio of two sums keep their bits.
+    Each sum runs over the float view by ``np.einsum``, not BLAS: OpenBLAS's
+    ``vdot`` sums in an order that follows its thread count, so the last bit
+    of a sum moved with ``OPENBLAS_NUM_THREADS``.  ``scale`` is 1 unless a sum
+    overflows.  Then it is the power of two that brings the largest part of the
+    first array into [0.5, 1), and every sum is redone on arrays times it.  A
+    power-of-two product is exact, so each sum over ``scale**2`` and every
+    ratio of two sums keep their bits.
     """
-    sums = [np.vdot(x, x).real for x in arrays]
+    sums = [float(np.einsum("i,i", f, f)) for f in (x.view(np.float64) for x in arrays)]
     if max(sums) < math.inf:
         return sums, 1.0
     first = arrays[0]
     largest = max(np.abs(first.real).max(initial=0.0), np.abs(first.imag).max(initial=0.0))
     scale = 2.0 ** -math.frexp(largest)[1]
-    return [np.vdot(y, y).real for y in (x * scale for x in arrays)], scale
+    return _square_sums(*(x * scale for x in arrays))[0], scale
 
 
 def _reduce_phase(x: float) -> float:
@@ -123,12 +134,63 @@ class ModePhases:
         return cls(modes, tuple(m * step for m in range(modes)))
 
 
+class _Layout:
+    """The occupation side of a state: a read-only ``(T, M)`` int64 matrix of
+    distinct rows, the T photon totals and the top sector, validated once.
+
+    States whose amplitudes change over the same occupations (``normalized``,
+    the size-keyed constructors through ``_shared_layout``) hold one layout;
+    ``states.coherent_state`` builds its own, valid by construction.
+    ``lowering()`` gives the field operator's slots for it; a shared layout
+    keeps them for its next state, any other computes them per call.
+    """
+
+    __slots__ = ("occ", "photons", "top", "shared", "_lowering")
+
+    def __init__(self, occ: np.ndarray, photons: np.ndarray, top: int):
+        occ.setflags(write=False)
+        photons.setflags(write=False)
+        self.occ, self.photons, self.top = occ, photons, top
+        self.shared, self._lowering = False, None
+
+    @classmethod
+    def validated(cls, modes: int, cutoff: int, occ: np.ndarray) -> "_Layout":
+        """Check every row: ``modes`` entries, none negative, at most ``cutoff`` photons."""
+        if occ.shape[1:] != (modes,):
+            raise _length_error(occ[0], modes)
+        totals = occ @ np.ones(modes, dtype=np.int64)
+        top = int(totals.max(initial=0))
+        if top > cutoff or occ.min(initial=0) < 0:
+            negative = (occ < 0).any(axis=1)
+            row = int((negative | (totals > cutoff)).argmax())
+            occ_t = tuple(occ[row].tolist())
+            if negative[row]:
+                raise ValueError(f"negative occupation in {occ_t}")
+            raise ValueError(f"occupation {occ_t} exceeds photon cutoff {cutoff}")
+        return cls(occ, totals, top)
+
+    def rows(self, keep: np.ndarray) -> "_Layout":
+        """The kept rows, as a new layout: rows of a valid layout need no checks."""
+        photons = self.photons[keep]
+        return _Layout(self.occ[keep], photons, int(photons.max(initial=0)))
+
+    def lowering(self) -> "_Lowering":
+        """The field operator's lowering of ``occ``: kept if the layout is shared."""
+        low = self._lowering
+        if low is None:
+            low = _lowering(self.occ, self.top)
+            if self.shared:
+                self._lowering = low
+        return low
+
+
 class StateVector:
     """Pure state of ``modes`` bosonic modes, truncated at ``cutoff`` total photons.
 
-    The terms are held as a ``(T, modes)`` int64 occupation matrix, a length-T
-    amplitude vector and the T photon totals.  ``terms``, the read-only map from
-    occupation tuples to amplitudes, is built from them the first time it is read.
+    The terms are held as an occupation layout (see ``_Layout``: the ``(T, modes)``
+    int64 occupation matrix and the T photon totals) and a length-T amplitude
+    vector.  ``terms``, the read-only map from occupation tuples to amplitudes, is
+    built from them the first time it is read.
     Instances are immutable values: every operation returns a new StateVector.
     """
 
@@ -144,9 +206,10 @@ class StateVector:
 
     @classmethod
     def _from_arrays(
-        cls, modes: int, occ: np.ndarray, amp: np.ndarray, cutoff: int
+        cls, modes: int, occ: "np.ndarray | _Layout", amp: np.ndarray, cutoff: int
     ) -> "StateVector":
-        """Build from an occupation matrix and amplitude vector, with the same checks."""
+        """Build from an occupation matrix or layout and an amplitude vector, with
+        the same checks."""
         state = cls.__new__(cls)
         state._store(modes, cutoff, occ, amp)
         return state
@@ -160,32 +223,23 @@ class StateVector:
             f"occupations={self._occ.tolist()}, amplitudes={self._amp.tolist()})"
         )
 
-    def _store(self, modes: int, cutoff: int, occ: np.ndarray, amp: np.ndarray) -> None:
-        """Validate the term arrays in one pass, prune tiny amplitudes, keep them."""
+    def _store(self, modes: int, cutoff: int, occ, amp: np.ndarray) -> None:
+        """Validate a raw occupation matrix into a layout (a layout given was validated
+        for ``modes`` and a cutoff of at most ``cutoff``), check the amplitudes, prune
+        tiny ones, keep them."""
         if modes < 1:
             raise ValueError(f"need at least one mode, got {modes}")
         if cutoff < 0:
             raise ValueError(f"cutoff must be non-negative, got {cutoff}")
-        if occ.shape[1:] != (modes,):
-            raise _length_error(occ[0], modes)
-        totals = occ @ np.ones(modes, dtype=np.int64)
-        top = int(totals.max(initial=0))
-        if top > cutoff or occ.min(initial=0) < 0:
-            negative = (occ < 0).any(axis=1)
-            row = int((negative | (totals > cutoff)).argmax())
-            occ_t = tuple(occ[row].tolist())
-            if negative[row]:
-                raise ValueError(f"negative occupation in {occ_t}")
-            raise ValueError(f"occupation {occ_t} exceeds photon cutoff {cutoff}")
+        layout = occ if isinstance(occ, _Layout) else _Layout.validated(modes, cutoff, occ)
         if not np.isfinite(amp).all():
             raise ValueError(f"amplitudes must be finite, got {amp[~np.isfinite(amp)][0]}")
         keep = _significant(amp)
         if not keep.all():
-            occ, amp, totals = occ[keep], amp[keep], totals[keep]
-            top = int(totals.max(initial=0))
+            layout, amp = layout.rows(keep), amp[keep]
         # Straight into the instance dict: __setattr__ refuses every write.
-        self.__dict__.update(modes=modes, cutoff=cutoff, _occ=occ, _amp=amp, _photons=totals,
-                             _top=top)
+        self.__dict__.update(modes=modes, cutoff=cutoff, _layout=layout, _occ=layout.occ,
+                             _amp=amp, _photons=layout.photons, _top=layout.top)
 
     @cached_property
     def terms(self) -> Mapping[tuple[int, ...], complex]:
@@ -204,7 +258,7 @@ class StateVector:
             raise ZeroDivisionError("cannot normalize the zero vector")
         # The scaled amplitudes over their norm: a norm past the float range still divides.
         amp = self._amp * scale / math.sqrt(square)
-        return StateVector._from_arrays(self.modes, self._occ, amp, self.cutoff)
+        return StateVector._from_arrays(self.modes, self._layout, amp, self.cutoff)
 
     def is_zero(self) -> bool:
         return self._amp.size == 0
@@ -261,11 +315,50 @@ def create(state: StateVector, mode: int) -> StateVector:
 # and the rank table's (M + 1) * (top + 1) cells.
 RANK_LIMIT = 2**63
 RANK_TABLE_MAX = 10_000_000
+# Array bytes that the shared occupation layouts may pin, lowerings included.
+LAYOUT_CACHE_BYTES = 1 << 20
 # Up to this many modes the running sums over modes are column adds, which
 # match or beat np.cumsum on the short rows at every term count.  On wider
 # states with few terms, such as single photons in up to 64 modes, one
 # np.cumsum call costs less than M - 1 column passes.
 _COLUMN_MODES = 4
+# Cells of the (T, M) occupation matrix per pass of the field operator: its
+# int64 temporaries stay at 64 KB, below glibc's smallest mmap threshold.
+_BLOCK = 8192
+_SMALL_TABLE_CELLS = 512
+
+
+_SHARED: dict = {}  # key -> _Layout, oldest first
+_SHARED_LOCK = threading.Lock()
+
+
+def _pinned_bytes(layout: _Layout) -> int:
+    """The array bytes a shared layout holds once its lowering is kept: three
+    int64 words an occupied entry, its slot, row and root-table index.  An
+    occupation matrix that views a larger one counts as a matrix of its own."""
+    return layout.occ.nbytes + layout.photons.nbytes + 24 * np.count_nonzero(layout.occ)
+
+
+def _shared_layout(key, modes: int, cutoff: int, build) -> _Layout:
+    """The layout of ``build()``'s occupations, one for every call with ``key``.
+
+    States built on it share its validation and its lowering.  The shared
+    layouts pin at most LAYOUT_CACHE_BYTES, the oldest leaving first; a set
+    larger than that is validated per call, as any other.
+    """
+    layout = _SHARED.get(key)
+    if layout is not None:
+        return layout
+    layout = _Layout.validated(modes, cutoff, build())
+    size = _pinned_bytes(layout)
+    if size <= LAYOUT_CACHE_BYTES:
+        with _SHARED_LOCK:
+            held = sum(map(_pinned_bytes, _SHARED.values()))
+            while held + size > LAYOUT_CACHE_BYTES:
+                held -= _pinned_bytes(_SHARED.pop(next(iter(_SHARED))))
+            layout.shared = True
+            _SHARED[key] = layout
+    return layout
 
 
 def _multichoose(modes: int, top: int) -> np.ndarray:
@@ -287,7 +380,17 @@ def _multichoose(modes: int, top: int) -> np.ndarray:
     return table
 
 
-def _lowered_ranks(occ: np.ndarray, top: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _small_table(modes: int, top: int) -> np.ndarray:
+    """``_multichoose`` raveled and read-only, kept for the 64 latest tables of up
+    to _SMALL_TABLE_CELLS cells (256 KB at most): small states recur, and their
+    lowerings spent a tenth of their time building it."""
+    table = _multichoose(modes, top).ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _lowered_ranks(occ: np.ndarray, table: np.ndarray, width: int) -> np.ndarray:
     """Rank of every term with mode m lowered by one, as a ``(T, M)`` matrix.
 
     Occupations are indexed by their rank in the combinatorial number system:
@@ -295,11 +398,10 @@ def _lowered_ranks(occ: np.ndarray, top: int) -> np.ndarray:
     Lowering mode m lowers every ``s_k`` with ``k >= M-1-m`` by one, so by
     Pascal's rule it subtracts ``sum_{k >= M-1-m} C(s_k + k - 1, k)``: two
     gathers and one running sum give every lowered rank.  Entries where mode m
-    is empty are meaningless.
+    is empty are meaningless.  ``table`` is ``_multichoose(M, top)`` raveled,
+    ``width`` its row length ``top + 1``.
     """
     modes = occ.shape[1]
-    width = top + 1
-    table = _multichoose(modes, top).ravel()
     columns = modes <= _COLUMN_MODES
     # at[:, m] = s + (M-1-m) * width, with s the photons in modes m..M-1, is the
     # flat index of table[M-1-m, s]; the table one row on reads table[M-m, s].
@@ -321,63 +423,91 @@ def _lowered_ranks(occ: np.ndarray, top: int) -> np.ndarray:
     return np.subtract(rank[:, None], slot, out=slot)
 
 
+class _Lowering(NamedTuple):
+    """Where the field operator sends each occupied entry (t, m), ``n_tm > 0``,
+    of an occupation matrix, in term-major, mode-minor order: ``slot`` holds
+    the output slot, of ``count``, that lowering mode m of term t lands on.
+
+    ``entries`` splits the entries into blocks of about _BLOCK cells of the
+    matrix, which keep every per-entry temporary small: ``(done, end, term,
+    index)`` gives a block's range in entry order, the row t of each entry
+    and its flat index ``m * (top + 1) + n_tm`` in the root table.
+    """
+
+    slot: np.ndarray
+    count: int
+    entries: list
+
+
+def _lowering(occ: np.ndarray, top: int) -> _Lowering:
+    modes, width = occ.shape[1], top + 1
+    # The cheap table bound first: it keeps math.comb small.
+    if (modes + 1) * width > RANK_TABLE_MAX or math.comb(top + modes, modes) >= RANK_LIMIT:
+        raise ResourceLimitError(
+            f"{modes} modes up to {top} photons exceed the Fock rank index bounds"
+        )
+    if (modes + 1) * width <= _SMALL_TABLE_CELLS:
+        table = _small_table(modes, top)
+    else:
+        table = _multichoose(modes, top).ravel()
+    offsets = width * np.arange(modes)  # the root table's row of each mode
+    slot = np.empty(np.count_nonzero(occ), dtype=np.int64)
+    entries, done, terms = [], 0, max(1, _BLOCK // modes)
+    for start in range(0, len(occ), terms):
+        block = occ[start:start + terms]
+        entry = (block.ravel() != 0).nonzero()[0]
+        end = done + entry.size
+        _lowered_ranks(block, table, width).ravel().take(entry, out=slot[done:end])
+        # numpy rounds a one-element complex product without the fused
+        # multiply-adds of its vector loop, which runs the (T, M) product of any
+        # larger state: a lone entry is gathered twice, and its product read once.
+        if entry.size == 1 < occ.size:
+            entry = entry.repeat(2)
+        term = entry // modes
+        term += start
+        entries.append((done, end, term, (block + offsets).ravel().take(entry)))
+        done = end
+    lo, hi = int(slot.min(initial=RANK_LIMIT - 1)), int(slot.max(initial=0))
+    if slot.size and hi - lo < slot.size:  # the ranks fill their range, as for coherent states
+        slot -= lo
+        return _Lowering(slot, hi - lo + 1, entries)
+    distinct, slot = np.unique(slot, return_inverse=True)
+    return _Lowering(slot, distinct.size, entries)
+
+
 def _lower(state: StateVector, phases: ModePhases):
     """Apply E = sum_m exp(i*theta_m) a_m to the stored arrays.
 
-    Returns the summed amplitude of each output slot and the ``(T, M)`` slot
-    matrix: entry (t, m) is where lowering mode m of term t lands, or
-    ``len(amplitudes)`` where mode m of term t is empty.  Entries are summed
-    in term-major, mode-minor order, as a loop over the terms would.
+    Returns the summed amplitude of each output slot and the layout's
+    ``_Lowering``.  Entries are summed in term-major, mode-minor order, as a
+    loop over the terms would; the empty modes, which lower nothing, are left out.
     """
     if phases.modes != state.modes:
         raise DimensionMismatchError(
             f"{phases.modes} phases for a {state.modes}-mode state"
         )
-    modes, occ = state.modes, state._occ
-    top = state.top_sector()
-    # The cheap table bound first: it keeps math.comb small.
-    if (modes + 1) * (top + 1) > RANK_TABLE_MAX or math.comb(top + modes, modes) >= RANK_LIMIT:
-        raise ResourceLimitError(
-            f"{modes} modes up to {top} photons exceed the Fock rank index bounds"
-        )
-    slot = _lowered_ranks(occ, top)
-    empty = occ == 0
-    entries = np.count_nonzero(occ)
-    # -1 sits below every rank, and read as an unsigned integer above every
-    # rank, so two plain reductions find both ends of the occupied slots.
-    np.putmask(slot, empty, -1)
-    lo = int(slot.view(np.uint64).min(initial=RANK_LIMIT - 1))
-    hi = int(slot.max(initial=0))
-    if entries and hi - lo < entries:  # the ranks fill their range, as for coherent states
-        slot -= lo
-        count = hi - lo + 1
-    else:
-        occupied = ~empty
-        distinct, inverse = np.unique(slot[occupied], return_inverse=True)
-        slot[occupied] = inverse
-        count = distinct.size
-    np.putmask(slot, empty, count)
+    low = state._layout.lowering()
+    width = state._top + 1
     # exp(i*theta_m) * sqrt(n) for every mode m and photon number n.
-    root = np.exp(1j * np.asarray(phases.theta))[:, None] * np.sqrt(np.arange(top + 1))
-    weight = root.ravel().take(occ + (top + 1) * np.arange(modes))
-    weight *= state._amp[:, None]
-    flat = slot.ravel()
-    amps = np.empty(count, dtype=complex)
-    amps.real = np.bincount(flat, weight.real.ravel(), count + 1)[:count]
-    amps.imag = np.bincount(flat, weight.imag.ravel(), count + 1)[:count]
-    return amps, slot
+    root = np.exp(1j * np.asarray(phases.theta))[:, None] * np.sqrt(np.arange(width))
+    root = root.ravel()
+    amps = np.zeros(low.count, dtype=complex)
+    for done, end, term, index in low.entries:
+        weight = root.take(index)
+        weight *= state._amp.take(term)
+        np.add.at(amps, low.slot[done:end], weight[:end - done])  # in order, as np.bincount sums
+    return amps, low
 
 
 def apply_field(state: StateVector, phases: ModePhases) -> StateVector:
     """Detection-point field operator: sum_m exp(i*theta_m) a_m, linear in the state."""
-    amps, slot = _lower(state, phases)
-    # Every entry that lands on a slot names its occupation; -1 marks slots
-    # no entry reaches, and the last cell collects the empty modes.
-    source = np.full(amps.size + 1, -1)
-    source[slot.ravel()] = np.arange(slot.size)
-    del slot  # the (T, M) slots are not needed while the output is built
-    reached = source[:-1] >= 0
-    rows, cols = np.divmod(source[:-1][reached], state.modes)
+    amps, low = _lower(state, phases)
+    # The last entry that lands on a slot names its occupation; -1 marks
+    # slots no entry reaches.
+    source = np.full(amps.size, -1)
+    source[low.slot] = np.flatnonzero(state._occ.ravel() != 0)
+    reached = source >= 0
+    rows, cols = np.divmod(source[reached], state.modes)
     occ = state._occ[rows]
     occ[np.arange(rows.size), cols] -= 1
     return StateVector._from_arrays(state.modes, occ, amps[reached], state.cutoff)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, DegenerateInputError, ResourceLimitError
-from .fock import ModePhases, StateVector
+from .fock import ModePhases, StateVector, _Layout, _shared_layout
 
 COHERENT_MAX_TERMS = 1_000_000  # Fock terms; also caps the photon cutoff search
 
@@ -88,11 +88,26 @@ def single_photon_state(phases: ModePhases) -> StateVector:
             f"single-photon interference needs at least 2 modes, got {m_modes}"
         )
     amp = np.exp(-1j * np.asarray(phases.theta)) / math.sqrt(m_modes)
-    return StateVector._from_arrays(m_modes, np.eye(m_modes, dtype=np.int64), amp, 1)
+    return StateVector._from_arrays(m_modes, _one_photon_layout(m_modes), amp, 1)
 
 
-def _stars_and_bars(modes: int, total_max: int) -> np.ndarray:
-    """All occupations of ``modes`` modes with sum <= total_max, in lexicographic order."""
+# Up to 64 modes the one-photon occupations are a corner of this one matrix.
+_EYE = np.eye(64, dtype=np.int64)
+_EYE.setflags(write=False)
+
+
+def _one_photon_layout(modes: int):
+    """The occupations ``|m>``, m = 0..modes-1: the rows of ``eye(modes)``."""
+    def rows():
+        return _EYE[:modes, :modes] if modes <= len(_EYE) else np.eye(modes, dtype=np.int64)
+
+    return _shared_layout(("eye", modes), modes, 1, rows)
+
+
+def _stars_and_bars(modes: int, total_max: int) -> _Layout:
+    """All occupations of ``modes`` modes with sum <= total_max, in lexicographic
+    order, as a layout: valid by construction, and the photons left after the
+    last mode give every total."""
     occ = np.zeros((1, modes), dtype=np.int64)
     left = np.array([total_max])
     for m in range(modes):
@@ -100,9 +115,8 @@ def _stars_and_bars(modes: int, total_max: int) -> np.ndarray:
         starts = np.repeat(np.cumsum(counts) - counts, counts)
         occ = np.repeat(occ, counts, axis=0)
         occ[:, m] = np.arange(starts.size) - starts
-        if m + 1 < modes:  # the photons left for the modes after m
-            left = np.repeat(left, counts) - occ[:, m]
-    return occ
+        left = np.repeat(left, counts) - occ[:, m]  # the photons left for the modes after m
+    return _Layout(occ, total_max - left, total_max)
 
 
 def coherent_state(spec: CoherentSpec) -> StateVector:
@@ -123,11 +137,12 @@ def coherent_state(spec: CoherentSpec) -> StateVector:
     steps[:, 1:] = mode_amp[:, None] / np.sqrt(np.arange(1, n_max + 1))
     per_mode = np.cumprod(steps, axis=1)
 
-    occ = _stars_and_bars(modes, n_max)
+    layout = _stars_and_bars(modes, n_max)
+    occ = layout.occ
     amp = per_mode[0].take(occ[:, 0]) * math.exp(-spec.mean_total_photons / 2.0)
     for m in range(1, modes):
         amp *= per_mode[m].take(occ[:, m])
-    return StateVector._from_arrays(modes, occ, amp, n_max)
+    return StateVector._from_arrays(modes, layout, amp, n_max)
 
 
 def _two_mode_sum(n_photons: int, phi_tilde: float, dark: bool) -> StateVector:
@@ -141,7 +156,9 @@ def _two_mode_sum(n_photons: int, phi_tilde: float, dark: bool) -> StateVector:
         amp[1::2] = -amp[1::2]
     else:
         amp = cmath.exp(-1j * n_photons * phi_tilde) * amp
-    return StateVector._from_arrays(2, np.column_stack([n, n_photons - n]), amp, n_photons)
+    layout = _shared_layout(("ladder", n_photons), 2, n_photons,
+                            lambda: np.column_stack([n, n_photons - n]))
+    return StateVector._from_arrays(2, layout, amp, n_photons)
 
 
 def two_mode_bright(n_photons: int, phi_tilde: float = 0.0) -> StateVector:

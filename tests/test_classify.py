@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,38 @@ def test_label_rule_at_its_edges(beta_max, tol):
     column = classify._label_for(np.array(betas), beta_max, tol)
     assert all(got is label for got, label in zip(scalar, want))
     assert all(got is label for got, label in zip(column.tolist(), want))
+
+
+_THREAD_PROBE = """
+from brightdark.classify import classify_fock
+from brightdark.fock import ModePhases
+from brightdark.states import CoherentSpec, coherent_state, two_mode_bright, two_mode_dark
+for state, phases in (
+    (coherent_state(CoherentSpec(1.0, ModePhases.zero(4))), ModePhases.zero(4)),
+    (two_mode_bright(37, 0.4), ModePhases(2, (0.0, 0.4))),
+    (two_mode_dark(12, 0.4), ModePhases(2, (0.0, 1.1))),
+):
+    result = classify_fock(state, phases, 1e-6)
+    print(repr(result.beta), repr(result.beta_max))
+"""
+
+
+def test_classify_fock_bits_do_not_follow_the_blas_thread_count():
+    # OpenBLAS's vdot summed in an order set by its thread count: under one
+    # thread the coherent state read beta one ulp over beta_max.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    printed = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], capture_output=True, text=True,
+            env={**env, "OPENBLAS_NUM_THREADS": threads}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
+    for line in printed[0].splitlines():
+        beta, beta_max = map(float, line.split())
+        assert beta <= beta_max
 
 
 def test_truncated_coherent_state_is_bright_at_its_own_bound():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from brightdark import fock
 from brightdark.classify import Label, classify_fock
 from brightdark.collective import build_basis, from_collective, to_collective
 from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
@@ -303,3 +304,65 @@ def test_normalized_keeps_a_norm_past_the_float_range():
     assert big.norm() == math.inf
     for got, want in ((state, [0.6, 0.8]), (big, [SQRT2 / 2, -SQRT2 / 2])):
         assert got.normalized()._amp == pytest.approx(want, rel=1e-15)
+
+
+def _layout_bytes(layout):
+    """The array bytes a layout holds: its occupations, totals and any kept lowering."""
+    kept = layout._lowering
+    arrays = [layout.occ, layout.photons]
+    if kept is not None:
+        arrays += [kept.slot, *(a for _, _, *pair in kept.entries for a in pair)]
+    return sum(a.nbytes for a in arrays)
+
+
+def test_states_of_one_size_share_a_read_only_layout():
+    one = single_photon_state(ModePhases.zero(5))
+    two = single_photon_state(ModePhases.locked(5, 0.3))
+    back = from_collective(np.eye(5)[2], build_basis(5, "dft"), ModePhases.zero(5))
+    assert one._layout is two._layout is back._layout
+    assert one.normalized()._layout is one._layout
+    assert two_mode_bright(7, 0.2)._layout is two_mode_dark(7, 1.0)._layout
+    with pytest.raises(ValueError, match="read-only"):
+        one._occ[0, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        one._photons[0] = 2
+
+
+def test_shared_layouts_pin_at_most_the_cache_bound(monkeypatch):
+    monkeypatch.setattr(fock, "_SHARED", {})
+    for modes in range(2, 65):
+        state = single_photon_state(ModePhases.zero(modes))
+        apply_field(state, ModePhases.zero(modes))  # keeps the lowering
+    for photons in range(61):
+        state = two_mode_bright(photons)
+        apply_field(state, ModePhases.zero(2))
+    held = list(fock._SHARED.values())
+    assert all(layout._lowering is not None for layout in held)
+    assert sum(map(_layout_bytes, held)) <= fock.LAYOUT_CACHE_BYTES
+    assert sum(map(_layout_bytes, held)) == sum(map(fock._pinned_bytes, held))
+    # A set past the bound (6504 bytes) is validated per call, and keeps no lowering.
+    monkeypatch.setattr(fock, "LAYOUT_CACHE_BYTES", 6000)
+    big = [two_mode_bright(90), two_mode_bright(90)]
+    assert big[0]._occ.shape == (91, 2)  # nothing pruned
+    assert big[0]._layout is not big[1]._layout
+    apply_field(big[0], ModePhases.zero(2))
+    assert big[0]._layout._lowering is None
+    assert ("ladder", 90) not in fock._SHARED
+    # Within the lower bound the oldest layouts leave first.
+    two_mode_bright(80)
+    assert list(fock._SHARED) == [("ladder", 80)]
+    assert fock._pinned_bytes(fock._SHARED["ladder", 80]) == 5784
+
+
+def test_a_pruned_state_leaves_its_shared_layout_unchanged():
+    shared = single_photon_state(ModePhases.zero(4))
+    apply_field(shared, ModePhases.zero(4))
+    layout, lowering = shared._layout, shared._layout._lowering
+    amp = np.array([0.5, 1e-17, 0.5, 0.5j])
+    pruned = StateVector._from_arrays(4, layout, amp, 1)
+    assert pruned._layout is not layout
+    assert pruned._occ.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert layout.occ.tolist() == np.eye(4, dtype=int).tolist()
+    assert layout._lowering is lowering
+    assert single_photon_state(ModePhases.zero(4))._layout is layout
+    assert apply_field(pruned, ModePhases.zero(4)).amplitude((0, 0, 0, 0)) == 1 + 0.5j

@@ -97,8 +97,10 @@ def test_stars_and_bars_lists_the_occupations_in_lexicographic_order(modes):
         want = [occ for occ in itertools.product(range(total_max + 1), repeat=modes)
                 if sum(occ) <= total_max]
         got = _stars_and_bars(modes, total_max)
-        assert got.dtype == np.int64
-        assert got.tolist() == [list(occ) for occ in want]
+        assert got.occ.dtype == got.photons.dtype == np.int64
+        assert got.occ.tolist() == [list(occ) for occ in want]
+        assert got.photons.tolist() == [sum(occ) for occ in want]
+        assert got.top == total_max
 
 
 def test_coherent_norm_within_tail_tolerance():
