@@ -16,12 +16,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
-from .fock import ModePhases, StateVector, _lower, _significant, _square_sums
+from .fock import ModePhases, StateVector, _lower, _significant, _sum_squares, _unit_scale
 from .pulses import dirichlet
 from .states import CoherentSpec
 
 DEFAULT_TOL = 1e-10
 SCAN_MAX_POINTS = 100_000  # grid points per scan_phase call, checked before building
+# Squared norms up to here leave 2**24 of headroom below the float range.
+_SQUARE_MAX = 2.0**999
 
 
 class Label(str, Enum):
@@ -45,7 +47,7 @@ _LABELS = np.array([Label.INTERMEDIATE, Label.BRIGHT, Label.DARK], dtype=object)
 def _label_for(beta, beta_max: float, tol: float):
     """Dark below tol*beta_max, Bright above (1-tol)*beta_max, else Intermediate:
     a Label for a float beta, an object array of them for an array."""
-    return _LABELS[2 * np.less(beta, tol * beta_max) + np.greater(beta, (1.0 - tol) * beta_max)]
+    return _LABELS[2 * (beta < tol * beta_max) + (beta > (1.0 - tol) * beta_max)]
 
 
 def _check_tol(tol: float) -> None:
@@ -61,16 +63,26 @@ def classify_fock(
     With unit phase factors ``E = sqrt(M) b`` for a normalized collective mode b,
     and ``E^dagger E = M b^dagger b <= M N``, equal when every photon sits in b:
     the bound is the state's, not its truncation's; one photon gives sqrt(M).
-    The inequality is exact, so beta above beta_max is rounding in the two sums
+    The inequality is exact, so beta above beta_max is rounding in the sums
     (a state with every photon in b can read an ulp over); beta is clamped to it.
+    A state whose squared norm passes _SQUARE_MAX is classified with its
+    amplitudes scaled by a power of two, which is exact: ``|E psi|**2 <= M * top
+    * |psi|**2``, and ``M * top`` stays below RANK_TABLE_MAX < 2**24, so below
+    that norm no product or sum overflows.
     """
     _check_tol(tol)
     if state.is_zero():
         raise DegenerateInputError("cannot classify the zero vector")
+    amp = state._amp
+    psi_sq = _sum_squares(amp)
+    if not psi_sq <= _SQUARE_MAX:  # the products below could overflow
+        amp = amp * _unit_scale(amp)
+        state = StateVector._from_arrays(state.modes, state._layout, amp, state.cutoff)
+        return classify_fock(state, detection_phases, tol)
     lowered = _lower(state, detection_phases)[0]
     lowered = lowered[_significant(lowered)]  # as apply_field prunes
-    amp = state._amp
-    (psi_sq, n_psi_sq, e_psi_sq), _ = _square_sums(amp, amp * np.sqrt(state._photons), lowered)
+    n_psi_sq = _sum_squares(amp * np.sqrt(state._photons))
+    e_psi_sq = _sum_squares(lowered)
     if n_psi_sq == 0.0:  # <N> = 0
         raise DegenerateInputError("vacuum state couples to nothing; trivially dark", vacuum=True)
     beta_max = math.sqrt(state.modes * (n_psi_sq / psi_sq))

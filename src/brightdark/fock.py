@@ -15,11 +15,13 @@ Ranks are exact in int64 while ``C(top + M, M) < 2**63`` (``top`` the
 highest occupied sector), and the rank table has ``(M + 1) * (top + 1)``
 cells; past either bound (``RANK_LIMIT``, ``RANK_TABLE_MAX``) it raises
 ResourceLimitError before allocating.  Its lowering of a layout, the
-output slot of every occupied entry, belongs to the layout: a cached
-layout keeps it, any other makes it per call.
+output slot of every entry (t, m), belongs to the layout: a cached layout
+keeps that of its occupied entries, and any other makes that of all its
+T*M cells per call, as on a dense layout (coherent states) carrying the
+empty modes costs less than dropping them.
 
-The kernels make flat passes over blocks of _BLOCK occupation cells.  With
-M a few modes, numpy runs a broadcast multi-index gather, ``sum(axis=1)`` or
+The kernels make flat passes over the ``(T, M)`` arrays.  With M a few
+modes, numpy runs a broadcast multi-index gather, ``sum(axis=1)`` or
 ``cumsum(axis=1)`` as one short inner loop per row, at 4-5 ns an element
 (numpy 2.4, one x86-64 core), where a ``take`` from the raveled table costs
 about 0.8 ns, a product with ``ones(M)`` about 1 ns and the M - 1 column
@@ -36,7 +38,7 @@ import math
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -76,24 +78,31 @@ def _significant(amp: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _square_sums(*arrays: np.ndarray) -> tuple[list[float], float]:
-    """The sums of ``|x|**2`` over each array, times ``scale**2``, and ``scale``.
+def _sum_squares(x: np.ndarray) -> float:
+    """``sum |x|**2``, by ``np.einsum`` over the float view and not by BLAS:
+    OpenBLAS's ``vdot`` sums in an order that follows its thread count, so the
+    last bit of a sum moved with ``OPENBLAS_NUM_THREADS``."""
+    f = x.view(np.float64)
+    return float(np.einsum("i,i", f, f))
 
-    Each sum runs over the float view by ``np.einsum``, not BLAS: OpenBLAS's
-    ``vdot`` sums in an order that follows its thread count, so the last bit
-    of a sum moved with ``OPENBLAS_NUM_THREADS``.  ``scale`` is 1 unless a sum
-    overflows.  Then it is the power of two that brings the largest part of the
-    first array into [0.5, 1), and every sum is redone on arrays times it.  A
-    power-of-two product is exact, so each sum over ``scale**2`` and every
-    ratio of two sums keep their bits.
+
+def _square_sum(x: np.ndarray) -> tuple[float, float]:
+    """``sum |x * scale|**2`` and ``scale``, which is 1 unless the sum overflows.
+
+    Then it is ``_unit_scale(x)``, and the sum is redone on ``x * scale``.  A
+    power-of-two product is exact, so the sum over ``scale**2`` keeps its bits.
     """
-    sums = [float(np.einsum("i,i", f, f)) for f in (x.view(np.float64) for x in arrays)]
-    if max(sums) < math.inf:
-        return sums, 1.0
-    first = arrays[0]
-    largest = max(np.abs(first.real).max(initial=0.0), np.abs(first.imag).max(initial=0.0))
-    scale = 2.0 ** -math.frexp(largest)[1]
-    return _square_sums(*(x * scale for x in arrays))[0], scale
+    square = _sum_squares(x)
+    if square < math.inf:
+        return square, 1.0
+    scale = _unit_scale(x)
+    return _sum_squares(x * scale), scale
+
+
+def _unit_scale(x: np.ndarray) -> float:
+    """The power of two that brings the largest real or imaginary part of x into [0.5, 1)."""
+    largest = max(np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0))
+    return 2.0 ** -math.frexp(largest)[1]
 
 
 def _reduce_phase(x: float) -> float:
@@ -142,7 +151,8 @@ class _Layout:
     the size-keyed constructors through ``_shared_layout``) hold one layout;
     ``states.coherent_state`` builds its own, valid by construction.
     ``lowering()`` gives the field operator's slots for it; a shared layout
-    keeps them for its next state, any other computes them per call.
+    keeps those of its occupied entries for its next state, any other
+    computes those of every cell per call.
     """
 
     __slots__ = ("occ", "photons", "top", "shared", "_lowering")
@@ -178,7 +188,7 @@ class _Layout:
         """The field operator's lowering of ``occ``: kept if the layout is shared."""
         low = self._lowering
         if low is None:
-            low = _lowering(self.occ, self.top)
+            low = _lowering(self.occ, self.top, self.shared)
             if self.shared:
                 self._lowering = low
         return low
@@ -249,11 +259,11 @@ class StateVector:
         return MappingProxyType(dict(zip(keys, self._amp.tolist())))
 
     def norm(self) -> float:
-        (square,), scale = _square_sums(self._amp)
+        square, scale = _square_sum(self._amp)
         return math.sqrt(square) / scale
 
     def normalized(self) -> "StateVector":
-        (square,), scale = _square_sums(self._amp)
+        square, scale = _square_sum(self._amp)
         if square == 0.0:
             raise ZeroDivisionError("cannot normalize the zero vector")
         # The scaled amplitudes over their norm: a norm past the float range still divides.
@@ -322,11 +332,6 @@ LAYOUT_CACHE_BYTES = 1 << 20
 # states with few terms, such as single photons in up to 64 modes, one
 # np.cumsum call costs less than M - 1 column passes.
 _COLUMN_MODES = 4
-# Cells of the (T, M) occupation matrix per pass of the field operator: its
-# int64 temporaries stay at 64 KB, below glibc's smallest mmap threshold.
-_BLOCK = 8192
-_SMALL_TABLE_CELLS = 512
-
 
 _SHARED: dict = {}  # key -> _Layout, oldest first
 _SHARED_LOCK = threading.Lock()
@@ -380,17 +385,7 @@ def _multichoose(modes: int, top: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
-def _small_table(modes: int, top: int) -> np.ndarray:
-    """``_multichoose`` raveled and read-only, kept for the 64 latest tables of up
-    to _SMALL_TABLE_CELLS cells (256 KB at most): small states recur, and their
-    lowerings spent a tenth of their time building it."""
-    table = _multichoose(modes, top).ravel()
-    table.setflags(write=False)
-    return table
-
-
-def _lowered_ranks(occ: np.ndarray, table: np.ndarray, width: int) -> np.ndarray:
+def _lowered_ranks(occ: np.ndarray, top: int) -> np.ndarray:
     """Rank of every term with mode m lowered by one, as a ``(T, M)`` matrix.
 
     Occupations are indexed by their rank in the combinatorial number system:
@@ -398,10 +393,11 @@ def _lowered_ranks(occ: np.ndarray, table: np.ndarray, width: int) -> np.ndarray
     Lowering mode m lowers every ``s_k`` with ``k >= M-1-m`` by one, so by
     Pascal's rule it subtracts ``sum_{k >= M-1-m} C(s_k + k - 1, k)``: two
     gathers and one running sum give every lowered rank.  Entries where mode m
-    is empty are meaningless.  ``table`` is ``_multichoose(M, top)`` raveled,
-    ``width`` its row length ``top + 1``.
+    is empty are meaningless.
     """
     modes = occ.shape[1]
+    width = top + 1
+    table = _multichoose(modes, top).ravel()
     columns = modes <= _COLUMN_MODES
     # at[:, m] = s + (M-1-m) * width, with s the photons in modes m..M-1, is the
     # flat index of table[M-1-m, s]; the table one row on reads table[M-m, s].
@@ -424,55 +420,53 @@ def _lowered_ranks(occ: np.ndarray, table: np.ndarray, width: int) -> np.ndarray
 
 
 class _Lowering(NamedTuple):
-    """Where the field operator sends each occupied entry (t, m), ``n_tm > 0``,
-    of an occupation matrix, in term-major, mode-minor order: ``slot`` holds
-    the output slot, of ``count``, that lowering mode m of term t lands on.
+    """Where the field operator sends the entries (t, m) of an occupation matrix,
+    taken in term-major, mode-minor order: lowering mode m of term t lands on
+    output slot ``slot``, of ``count``, with the weight at flat index ``index =
+    m * (top + 1) + n_tm`` of the root table.
 
-    ``entries`` splits the entries into blocks of about _BLOCK cells of the
-    matrix, which keep every per-entry temporary small: ``(done, end, term,
-    index)`` gives a block's range in entry order, the row t of each entry
-    and its flat index ``m * (top + 1) + n_tm`` in the root table.
+    ``term`` is None when the entries are every cell of the ``(T, M)`` matrix,
+    as made per call, and the empty modes land on slot ``count``, which is
+    discarded.  A shared layout keeps only its occupied entries, ``n_tm > 0``,
+    and ``term`` gives the row t of each.
     """
 
     slot: np.ndarray
     count: int
-    entries: list
+    index: np.ndarray
+    term: np.ndarray | None
 
 
-def _lowering(occ: np.ndarray, top: int) -> _Lowering:
+def _lowering(occ: np.ndarray, top: int, compact: bool) -> _Lowering:
+    """The lowering of every cell of ``occ``, or with ``compact`` of its occupied entries."""
     modes, width = occ.shape[1], top + 1
     # The cheap table bound first: it keeps math.comb small.
     if (modes + 1) * width > RANK_TABLE_MAX or math.comb(top + modes, modes) >= RANK_LIMIT:
         raise ResourceLimitError(
             f"{modes} modes up to {top} photons exceed the Fock rank index bounds"
         )
-    if (modes + 1) * width <= _SMALL_TABLE_CELLS:
-        table = _small_table(modes, top)
-    else:
-        table = _multichoose(modes, top).ravel()
-    offsets = width * np.arange(modes)  # the root table's row of each mode
-    slot = np.empty(np.count_nonzero(occ), dtype=np.int64)
-    entries, done, terms = [], 0, max(1, _BLOCK // modes)
-    for start in range(0, len(occ), terms):
-        block = occ[start:start + terms]
-        entry = (block.ravel() != 0).nonzero()[0]
-        end = done + entry.size
-        _lowered_ranks(block, table, width).ravel().take(entry, out=slot[done:end])
-        # numpy rounds a one-element complex product without the fused
-        # multiply-adds of its vector loop, which runs the (T, M) product of any
-        # larger state: a lone entry is gathered twice, and its product read once.
-        if entry.size == 1 < occ.size:
-            entry = entry.repeat(2)
-        term = entry // modes
-        term += start
-        entries.append((done, end, term, (block + offsets).ravel().take(entry)))
-        done = end
-    lo, hi = int(slot.min(initial=RANK_LIMIT - 1)), int(slot.max(initial=0))
-    if slot.size and hi - lo < slot.size:  # the ranks fill their range, as for coherent states
+    slot = _lowered_ranks(occ, top)
+    empty = occ == 0
+    entries = np.count_nonzero(occ)
+    # -1 sits below every rank, and read as an unsigned integer above every
+    # rank, so two plain reductions find both ends of the occupied slots.
+    np.putmask(slot, empty, -1)
+    lo = int(slot.view(np.uint64).min(initial=RANK_LIMIT - 1))
+    hi = int(slot.max(initial=0))
+    if entries and hi - lo < entries:  # the ranks fill their range, as for coherent states
         slot -= lo
-        return _Lowering(slot, hi - lo + 1, entries)
-    distinct, slot = np.unique(slot, return_inverse=True)
-    return _Lowering(slot, distinct.size, entries)
+        count = hi - lo + 1
+    else:
+        occupied = ~empty
+        distinct, inverse = np.unique(slot[occupied], return_inverse=True)
+        slot[occupied] = inverse
+        count = distinct.size
+    np.putmask(slot, empty, count)
+    index = occ + width * np.arange(modes)
+    if not compact:
+        return _Lowering(slot, count, index, None)
+    entry = np.flatnonzero(occ)
+    return _Lowering(slot.take(entry), count, index.take(entry), entry // modes)
 
 
 def _lower(state: StateVector, phases: ModePhases):
@@ -480,34 +474,37 @@ def _lower(state: StateVector, phases: ModePhases):
 
     Returns the summed amplitude of each output slot and the layout's
     ``_Lowering``.  Entries are summed in term-major, mode-minor order, as a
-    loop over the terms would; the empty modes, which lower nothing, are left out.
+    loop over the terms would.
     """
     if phases.modes != state.modes:
         raise DimensionMismatchError(
             f"{phases.modes} phases for a {state.modes}-mode state"
         )
     low = state._layout.lowering()
-    width = state._top + 1
     # exp(i*theta_m) * sqrt(n) for every mode m and photon number n.
-    root = np.exp(1j * np.asarray(phases.theta))[:, None] * np.sqrt(np.arange(width))
-    root = root.ravel()
-    amps = np.zeros(low.count, dtype=complex)
-    for done, end, term, index in low.entries:
-        weight = root.take(index)
-        weight *= state._amp.take(term)
-        np.add.at(amps, low.slot[done:end], weight[:end - done])  # in order, as np.bincount sums
-    return amps, low
+    root = np.exp(1j * np.asarray(phases.theta))[:, None] * np.sqrt(np.arange(state._top + 1))
+    weight = root.ravel().take(low.index)
+    if low.term is None:
+        weight *= state._amp[:, None]
+    else:  # not in place: numpy rounds a one-element product in place differently
+        weight = weight * state._amp.take(low.term)
+    amps = np.zeros(low.count + 1, dtype=complex)
+    np.add.at(amps, low.slot.ravel(), weight.ravel())  # in entry order, as np.bincount sums
+    return amps[:-1], low
 
 
 def apply_field(state: StateVector, phases: ModePhases) -> StateVector:
     """Detection-point field operator: sum_m exp(i*theta_m) a_m, linear in the state."""
     amps, low = _lower(state, phases)
-    # The last entry that lands on a slot names its occupation; -1 marks
-    # slots no entry reaches.
-    source = np.full(amps.size, -1)
-    source[low.slot] = np.flatnonzero(state._occ.ravel() != 0)
-    reached = source >= 0
-    rows, cols = np.divmod(source[reached], state.modes)
+    # Every entry that lands on a slot names its occupation; -1 marks slots
+    # no entry reaches, and the last cell collects the empty modes.
+    source = np.full(amps.size + 1, -1)
+    source[low.slot.ravel()] = np.arange(low.slot.size)
+    reached = source[:-1] >= 0
+    entry = source[:-1][reached]
+    rows = entry // state.modes if low.term is None else low.term[entry]
+    cols = low.index.ravel()[entry] // (state._top + 1)
+    del low  # a (T, M) lowering is not needed while the output is built
     occ = state._occ[rows]
     occ[np.arange(rows.size), cols] -= 1
     return StateVector._from_arrays(state.modes, occ, amps[reached], state.cutoff)

@@ -72,9 +72,9 @@ def _poisson_cutoff(mean: float, tail: float) -> int:
     start = mean + margin / 3.0 + math.sqrt(margin**2 / 9.0 + 2.0 * margin * mean)
     if not start <= COHERENT_MAX_TERMS:
         raise ResourceLimitError(f"mean {mean} photons: cutoff beyond {COHERENT_MAX_TERMS}")
-    upper = 0.0
+    upper, log_mean = 0.0, math.log(mean)
     for n in range(math.ceil(start), 0, -1):
-        upper += math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+        upper += math.exp(n * log_mean - mean - math.lgamma(n + 1))
         if upper >= tail:
             return n
     return 0

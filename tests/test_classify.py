@@ -335,3 +335,15 @@ def test_dark_state_survives_overflowing_squares():
     assert result.label is Label.DARK and result.beta_max == math.sqrt(2)
     result = classify_fock(StateVector(2, {(1, 0): 3e154, (0, 1): 4e154}, 1), ModePhases.zero(2))
     assert result.beta == pytest.approx(1.4, rel=1e-15) and result.label is Label.INTERMEDIATE
+
+
+@pytest.mark.parametrize("terms", [
+    {(4, 0): 1e308},  # amp * sqrt(n) and the lowered amplitude overflow, the squares too
+    {(4, 0): -1e308j, (1, 3): 1e308},
+    {(4, 0): 2.0**500},  # the squares stay finite, but past _SQUARE_MAX
+])
+def test_classification_survives_overflowing_products(terms):
+    # Each term of |4,0>, |1,3> has beta 2 of beta_max sqrt(2 * 4).
+    result = classify_fock(StateVector(2, terms, 4), ModePhases.zero(2))
+    unit = classify_fock(StateVector(2, {occ: 1.0 for occ in terms}, 4), ModePhases.zero(2))
+    assert result.beta == unit.beta == 2.0 and result.beta_max == math.sqrt(8)

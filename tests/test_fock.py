@@ -311,7 +311,7 @@ def _layout_bytes(layout):
     kept = layout._lowering
     arrays = [layout.occ, layout.photons]
     if kept is not None:
-        arrays += [kept.slot, *(a for _, _, *pair in kept.entries for a in pair)]
+        arrays += [kept.slot, kept.term, kept.index]
     return sum(a.nbytes for a in arrays)
 
 
