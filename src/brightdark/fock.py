@@ -338,8 +338,8 @@ _SHARED_LOCK = threading.Lock()
 
 
 def _pinned_bytes(layout: _Layout) -> int:
-    """The array bytes a shared layout holds once its lowering is kept: three
-    int64 words an occupied entry, its slot, row and root-table index.  An
+    """The array bytes a shared layout holds once its lowering is kept: at most
+    three int64 words an occupied entry, its slot, row and root-table index.  An
     occupation matrix that views a larger one counts as a matrix of its own."""
     return layout.occ.nbytes + layout.photons.nbytes + 24 * np.count_nonzero(layout.occ)
 
@@ -427,8 +427,8 @@ class _Lowering(NamedTuple):
 
     ``term`` is None when the entries are every cell of the ``(T, M)`` matrix,
     as made per call, and the empty modes land on slot ``count``, which is
-    discarded.  A shared layout keeps only its occupied entries, ``n_tm > 0``,
-    and ``term`` gives the row t of each.
+    discarded.  A shared layout with an empty mode keeps only its occupied
+    entries, ``n_tm > 0``, and ``term`` gives the row t of each.
     """
 
     slot: np.ndarray
@@ -438,7 +438,8 @@ class _Lowering(NamedTuple):
 
 
 def _lowering(occ: np.ndarray, top: int, compact: bool) -> _Lowering:
-    """The lowering of every cell of ``occ``, or with ``compact`` of its occupied entries."""
+    """The lowering of every cell of ``occ``, or with ``compact`` of its occupied
+    entries, where some mode is empty."""
     modes, width = occ.shape[1], top + 1
     # The cheap table bound first: it keeps math.comb small.
     if (modes + 1) * width > RANK_TABLE_MAX or math.comb(top + modes, modes) >= RANK_LIMIT:
@@ -463,7 +464,7 @@ def _lowering(occ: np.ndarray, top: int, compact: bool) -> _Lowering:
         count = distinct.size
     np.putmask(slot, empty, count)
     index = occ + width * np.arange(modes)
-    if not compact:
+    if not compact or entries == occ.size:  # no empty mode to leave out
         return _Lowering(slot, count, index, None)
     entry = np.flatnonzero(occ)
     return _Lowering(slot.take(entry), count, index.take(entry), entry // modes)
@@ -486,7 +487,7 @@ def _lower(state: StateVector, phases: ModePhases):
     weight = root.ravel().take(low.index)
     if low.term is None:
         weight *= state._amp[:, None]
-    else:  # not in place: numpy rounds a one-element product in place differently
+    else:  # not in place, so that one entry takes the vector loop, as more cells in place do
         weight = weight * state._amp.take(low.term)
     amps = np.zeros(low.count + 1, dtype=complex)
     np.add.at(amps, low.slot.ravel(), weight.ravel())  # in entry order, as np.bincount sums

@@ -338,17 +338,22 @@ def test_field_kernel_matches_reference_on_fixed_states(build, monkeypatch):
         assert amps.size == len(_oracle_apply_field(state, phases))
 
 
-def test_field_kernel_rounds_a_lone_entry_as_the_reference(monkeypatch):
-    # One occupied entry: numpy rounds a one-element complex product in place
-    # differently from the reference's (T, M) product.
+@pytest.mark.parametrize("rows, amp, kept", [
+    ([(0, 0, 0, 0), (1, 0, 0, 0)], [8.185889219744301e-15, 1.875 + 1j], 1),  # one of 8 cells
+    ([(3,)], [0.64 + 0.105j], 1),  # the one cell
+])
+def test_field_kernel_rounds_a_lone_entry_as_the_reference(rows, amp, kept, monkeypatch):
+    # numpy rounds a one-element complex product in place without its vector
+    # loop, and the reference's (T, M) product is in place: one cell takes the
+    # scalar loop, one occupied entry of more cells the vector loop.
     monkeypatch.setattr(fock, "_SHARED", {})
-    rows = np.array([(0, 0, 0, 0), (1, 0, 0, 0)])
-    amp = np.array([8.185889219744301e-15, 1.875 + 1j])
-    layout = fock._shared_layout("lone", 4, 1, lambda: rows)
-    for occ in (rows, layout, layout):  # every cell per call, then the occupied entry kept
-        state = StateVector._from_arrays(4, occ, amp, 1)
-        _assert_lower_matches_reference(state, ModePhases(4, (1.0,) * 4))
-    assert layout._lowering.slot.size == 1
+    occ, amp = np.array(rows), np.array(amp)
+    modes, cutoff = occ.shape[1], int(occ.sum(axis=1).max())
+    layout = fock._shared_layout("lone", modes, cutoff, lambda: occ)
+    for arg in (occ, layout, layout):  # lowered per call, then kept
+        state = StateVector._from_arrays(modes, arg, amp, cutoff)
+        _assert_lower_matches_reference(state, ModePhases(modes, (1.0,) * modes))
+    assert layout._lowering.slot.size == kept
 
 
 def _ulps(x, k):
