@@ -4,9 +4,10 @@ Row 0 of the matrix is the symmetric (uniform) combination ``1/sqrt(M)``;
 its collective mode is the only one that couples maximally to the field
 operator at aligned phases.  Two constructions are provided:
 
-* ``hadamard`` -- real entries ``+-1/sqrt(M)``, Sylvester recursion,
-  defined for M a power of two.
-* ``dft``      -- rows ``exp(2*pi*i*j*m/M)/sqrt(M)``, defined for every M;
+* ``hadamard`` -- real entries ``(-1)**popcount(j & m) / sqrt(M)``, Sylvester's
+  matrix, defined for M a power of two.
+* ``dft``      -- rows ``exp(2*pi*i*j*m/M)/sqrt(M)``, defined for every M, each
+  entry the M-th root of unity ``(j*m) % M`` (the argument reduced exactly);
   its rows diagonalize linear phase ladders, so row K picks out the
   phase step ``2*pi*K/M``.
 """
@@ -38,18 +39,17 @@ def build_basis(modes: int, kind: str) -> CollectiveBasis:
     kind = kind.lower()
     if kind not in BASIS_KINDS:
         raise UnsupportedBasisError(f"unknown basis kind {kind!r}; use one of {BASIS_KINDS}")
+    r = np.arange(modes)
     if kind == "hadamard":
         if modes & (modes - 1):
             raise UnsupportedBasisError(
                 f"hadamard basis needs a power-of-two mode count, got {modes}; "
                 "the dft basis covers every mode count"
             )
-        m = np.ones((1, 1), dtype=complex) / np.sqrt(modes)
-        while len(m) < modes:
-            m = np.kron([[1, 1], [1, -1]], m)
+        scale = 1.0 / np.sqrt(modes)
+        m = np.where(np.bitwise_count(r[:, None] & r) & 1, -scale, scale).astype(complex)
     else:
-        j, k = np.meshgrid(np.arange(modes), np.arange(modes), indexing="ij")
-        m = np.exp(2j * np.pi * j * k / modes) / np.sqrt(modes)
+        m = (np.exp(2j * np.pi * r / modes) / np.sqrt(modes)).take(np.multiply.outer(r, r) % modes)
     m.setflags(write=False)
     return CollectiveBasis(modes, m, kind)
 

@@ -5,20 +5,25 @@ per term, read-only, with the row totals, validated once) and an amplitude
 vector; only nonzero terms are kept.  States built on the same occupations
 share one layout: ``normalized`` keeps its state's, and the constructors
 whose occupations depend only on a size take theirs from a cache of at
-most LAYOUT_CACHE_BYTES (``_shared_layout``).  Lookups match a row, inner
-products pair the sorted rows of two states, and ladder operators, tensor
-products and the detection-point field operator
+most LAYOUT_CACHE_BYTES, 4 MiB (``_shared_layout``).  Coherent states take
+the head of one simplex per mode count: every occupation up to the highest
+cutoff asked for, in rank order, so the rows up to a lower cutoff and their
+lowering are the first rows of its arrays (``_Layout.head``).  Lookups
+match a row, inner products pair the sorted rows of two states, and ladder
+operators, tensor products and the detection-point field operator
 ``E = sum_m exp(i*theta_m) a_m`` (``a_m`` lowers mode ``m``) index the
 arrays; ``terms`` is a read-only tuple-keyed view for outside callers.
 The field operator ranks occupations in the combinatorial number system.
 Ranks are exact in int64 while ``C(top + M, M) < 2**63`` (``top`` the
 highest occupied sector), and the rank table has ``(M + 1) * (top + 1)``
 cells; past either bound (``RANK_LIMIT``, ``RANK_TABLE_MAX``) it raises
-ResourceLimitError before allocating.  Its lowering of a layout, the
-output slot of every entry (t, m), belongs to the layout: a cached layout
-keeps that of its occupied entries, and any other makes that of all its
-T*M cells per call, as on a dense layout (coherent states) carrying the
-empty modes costs less than dropping them.
+ResourceLimitError before allocating.  Its lowering of a layout, the output
+slot of every entry (t, m) and its index ``n * M + m`` into the
+``(top + 1, M)`` root table, belongs to the layout.  A cached layout keeps
+that of its occupied entries, a simplex that of all its T*M cells, the
+empty ones on slot -1, the discarded last output cell; any other layout
+makes the latter per call, as on a dense layout carrying the empty modes
+costs less than dropping them.
 
 The kernels make flat passes over the ``(T, M)`` arrays.  With M a few
 modes, numpy runs a broadcast multi-index gather, ``sum(axis=1)`` or
@@ -149,19 +154,20 @@ class _Layout:
 
     States whose amplitudes change over the same occupations (``normalized``,
     the size-keyed constructors through ``_shared_layout``) hold one layout;
-    ``states.coherent_state`` builds its own, valid by construction.
+    ``states.coherent_state`` holds a ``head`` of a shared simplex.
     ``lowering()`` gives the field operator's slots for it; a shared layout
-    keeps those of its occupied entries for its next state, any other
-    computes those of every cell per call.
+    keeps those of its occupied entries for its next state, or with ``dense``
+    those of every cell, which its heads cut; any other computes those of
+    every cell per call.
     """
 
-    __slots__ = ("occ", "photons", "top", "shared", "_lowering")
+    __slots__ = ("occ", "photons", "top", "shared", "dense", "_lowering")
 
     def __init__(self, occ: np.ndarray, photons: np.ndarray, top: int):
         occ.setflags(write=False)
         photons.setflags(write=False)
         self.occ, self.photons, self.top = occ, photons, top
-        self.shared, self._lowering = False, None
+        self.shared, self.dense, self._lowering = False, False, None
 
     @classmethod
     def validated(cls, modes: int, cutoff: int, occ: np.ndarray) -> "_Layout":
@@ -184,11 +190,25 @@ class _Layout:
         photons = self.photons[keep]
         return _Layout(self.occ[keep], photons, int(photons.max(initial=0)))
 
+    def head(self, top: int) -> "_Layout":
+        """The rows up to ``top`` photons of a dense simplex in rank order
+        (``states._simplex``), as views: row t has rank t, so their lowering is
+        the kept one's first rows, with the ``C(top - 1 + M, M)`` lowered ranks
+        as slots and the empty cells on slot -1 at every cutoff."""
+        modes = self.occ.shape[1]
+        rows = math.comb(top + modes, modes)
+        head = _Layout(self.occ[:rows], self.photons[:rows], top)
+        if self.shared:
+            low = self.lowering()
+            head._lowering = low._replace(slot=low.slot[:rows], index=low.index[:rows],
+                                          count=math.comb(top - 1 + modes, modes))
+        return head
+
     def lowering(self) -> "_Lowering":
         """The field operator's lowering of ``occ``: kept if the layout is shared."""
         low = self._lowering
         if low is None:
-            low = _lowering(self.occ, self.top, self.shared)
+            low = _lowering(self.occ, self.top, self.shared and not self.dense)
             if self.shared:
                 self._lowering = low
         return low
@@ -326,7 +346,7 @@ def create(state: StateVector, mode: int) -> StateVector:
 RANK_LIMIT = 2**63
 RANK_TABLE_MAX = 10_000_000
 # Array bytes that the shared occupation layouts may pin, lowerings included.
-LAYOUT_CACHE_BYTES = 1 << 20
+LAYOUT_CACHE_BYTES = 4 << 20
 # Up to this many modes the running sums over modes are column adds, which
 # match or beat np.cumsum on the short rows at every term count.  On wider
 # states with few terms, such as single photons in up to 64 modes, one
@@ -338,26 +358,35 @@ _SHARED_LOCK = threading.Lock()
 
 
 def _pinned_bytes(layout: _Layout) -> int:
-    """The array bytes a shared layout holds once its lowering is kept: at most
-    three int64 words an occupied entry, its slot, row and root-table index.  An
-    occupation matrix that views a larger one counts as a matrix of its own."""
-    return layout.occ.nbytes + layout.photons.nbytes + 24 * np.count_nonzero(layout.occ)
+    """The array bytes a shared layout holds once its lowering is kept: two int64
+    words a cell of a dense one, its slot and root-table index, or at most three
+    an occupied entry of any other, its slot, row and index.  An occupation
+    matrix that views a larger one counts as a matrix of its own."""
+    occ = layout.occ
+    kept = 16 * occ.size if layout.dense else 24 * np.count_nonzero(occ)
+    return occ.nbytes + layout.photons.nbytes + kept
 
 
-def _shared_layout(key, modes: int, cutoff: int, build) -> _Layout:
-    """The layout of ``build()``'s occupations, one for every call with ``key``.
+def _shared_layout(key, modes: int, cutoff: int, build, dense: bool = False) -> _Layout:
+    """The layout of ``build()``'s occupations, one for every call with ``key``
+    up to the cutoff it was built for; a call past that rebuilds and replaces it.
 
     States built on it share its validation and its lowering.  The shared
     layouts pin at most LAYOUT_CACHE_BYTES, the oldest leaving first; a set
-    larger than that is validated per call, as any other.
+    larger than that is validated per call, as any other, and leaves the
+    smaller one held.  A ``dense`` layout keeps the lowering of every cell.
     """
     layout = _SHARED.get(key)
-    if layout is not None:
+    if layout is not None and layout.top >= cutoff:
         return layout
     layout = _Layout.validated(modes, cutoff, build())
+    layout.dense = dense
     size = _pinned_bytes(layout)
     if size <= LAYOUT_CACHE_BYTES:
         with _SHARED_LOCK:
+            other = _SHARED.pop(key, None)
+            if other is not None and other.top >= layout.top:  # built by another thread meanwhile
+                layout, size = other, _pinned_bytes(other)
             held = sum(map(_pinned_bytes, _SHARED.values()))
             while held + size > LAYOUT_CACHE_BYTES:
                 held -= _pinned_bytes(_SHARED.pop(next(iter(_SHARED))))
@@ -423,12 +452,13 @@ class _Lowering(NamedTuple):
     """Where the field operator sends the entries (t, m) of an occupation matrix,
     taken in term-major, mode-minor order: lowering mode m of term t lands on
     output slot ``slot``, of ``count``, with the weight at flat index ``index =
-    m * (top + 1) + n_tm`` of the root table.
+    n_tm * M + m`` of the ``(top + 1, M)`` root table, whatever ``top`` is.
 
     ``term`` is None when the entries are every cell of the ``(T, M)`` matrix,
-    as made per call, and the empty modes land on slot ``count``, which is
-    discarded.  A shared layout with an empty mode keeps only its occupied
-    entries, ``n_tm > 0``, and ``term`` gives the row t of each.
+    as made per call or kept dense, and the empty modes land on slot -1, the
+    last of ``count + 1``, which is discarded.  Any other shared layout with
+    an empty mode keeps only its occupied entries, ``n_tm > 0``, and ``term``
+    gives the row t of each.
     """
 
     slot: np.ndarray
@@ -462,8 +492,8 @@ def _lowering(occ: np.ndarray, top: int, compact: bool) -> _Lowering:
         distinct, inverse = np.unique(slot[occupied], return_inverse=True)
         slot[occupied] = inverse
         count = distinct.size
-    np.putmask(slot, empty, count)
-    index = occ + width * np.arange(modes)
+    np.putmask(slot, empty, -1)
+    index = occ * modes + np.arange(modes)
     if not compact or entries == occ.size:  # no empty mode to leave out
         return _Lowering(slot, count, index, None)
     entry = np.flatnonzero(occ)
@@ -482,8 +512,8 @@ def _lower(state: StateVector, phases: ModePhases):
             f"{phases.modes} phases for a {state.modes}-mode state"
         )
     low = state._layout.lowering()
-    # exp(i*theta_m) * sqrt(n) for every mode m and photon number n.
-    root = np.exp(1j * np.asarray(phases.theta))[:, None] * np.sqrt(np.arange(state._top + 1))
+    # sqrt(n) * exp(i*theta_m) for every photon number n and mode m.
+    root = np.sqrt(np.arange(state._top + 1))[:, None] * np.exp(1j * np.asarray(phases.theta))
     weight = root.ravel().take(low.index)
     if low.term is None:
         weight *= state._amp[:, None]
@@ -504,7 +534,7 @@ def apply_field(state: StateVector, phases: ModePhases) -> StateVector:
     reached = source[:-1] >= 0
     entry = source[:-1][reached]
     rows = entry // state.modes if low.term is None else low.term[entry]
-    cols = low.index.ravel()[entry] // (state._top + 1)
+    cols = low.index.ravel()[entry] % state.modes
     del low  # a (T, M) lowering is not needed while the output is built
     occ = state._occ[rows]
     occ[np.arange(rows.size), cols] -= 1

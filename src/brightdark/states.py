@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffError, DegenerateInputError, ResourceLimitError
-from .fock import ModePhases, StateVector, _Layout, _shared_layout
+from .fock import ModePhases, StateVector, _shared_layout
 
 COHERENT_MAX_TERMS = 1_000_000  # Fock terms; also caps the photon cutoff search
 
@@ -104,26 +104,33 @@ def _one_photon_layout(modes: int):
     return _shared_layout(("eye", modes), modes, 1, rows)
 
 
-def _stars_and_bars(modes: int, total_max: int) -> _Layout:
-    """All occupations of ``modes`` modes with sum <= total_max, in lexicographic
-    order, as a layout: valid by construction, and the photons left after the
-    last mode give every total."""
-    occ = np.zeros((1, modes), dtype=np.int64)
-    left = np.array([total_max])
-    for m in range(modes):
-        counts = left + 1
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        occ = np.repeat(occ, counts, axis=0)
-        occ[:, m] = np.arange(starts.size) - starts
-        left = np.repeat(left, counts) - occ[:, m]  # the photons left for the modes after m
-    return _Layout(occ, total_max - left, total_max)
+def _simplex(modes: int, top: int) -> np.ndarray:
+    """All occupations of ``modes`` modes with at most ``top`` photons, row t of
+    rank t in the combinatorial number system (``fock._lowered_ranks``): so the
+    rows up to n photons are the first ``C(n + modes, modes)`` for every n.
+
+    The rows of one more mode with t photons are the rows of the last modes with
+    at most t, in their order, each led by the photons left for the first mode.
+    """
+    photons = np.arange(top + 1)
+    occ = photons[:, None]
+    for _ in range(1, modes):
+        ends = np.searchsorted(photons, np.arange(top + 1), side="right")  # rows up to each total
+        row = np.arange(ends.sum()) - np.repeat(np.cumsum(ends) - ends, ends)
+        total = np.repeat(np.arange(top + 1), ends)
+        occ = np.column_stack([total - photons[row], occ[row]])
+        photons = total
+    return occ
 
 
 def coherent_state(spec: CoherentSpec) -> StateVector:
     """Tensor product of per-mode coherent states ``|exp(i*theta_m) alpha>``.
 
     Expanded in the Fock basis and truncated at the resolved total-photon
-    cutoff, so the norm is within ``cutoff_prob`` of 1.
+    cutoff, so the norm is within ``cutoff_prob`` of 1.  The occupations are
+    the head of the shared simplex of ``modes`` modes (``fock._Layout.head``),
+    rebuilt when a higher cutoff is asked for, and built per call where it
+    would not fit LAYOUT_CACHE_BYTES (4 MiB).
     """
     modes = spec.phases.modes
     n_max = spec.resolved_cutoff()
@@ -137,7 +144,9 @@ def coherent_state(spec: CoherentSpec) -> StateVector:
     steps[:, 1:] = mode_amp[:, None] / np.sqrt(np.arange(1, n_max + 1))
     per_mode = np.cumprod(steps, axis=1)
 
-    layout = _stars_and_bars(modes, n_max)
+    simplex = _shared_layout(("simplex", modes), modes, n_max, lambda: _simplex(modes, n_max),
+                             dense=True)
+    layout = simplex.head(n_max)
     occ = layout.occ
     amp = per_mode[0].take(occ[:, 0]) * math.exp(-spec.mean_total_photons / 2.0)
     for m in range(1, modes):

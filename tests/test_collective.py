@@ -41,6 +41,15 @@ def test_dft_rows_are_phase_ladders():
         np.testing.assert_allclose(basis.matrix[j], expected, atol=1e-14)
 
 
+def test_dft_entries_are_roots_of_unity_to_the_last_bits():
+    # Each entry is the root of (j*k) % M, so no argument past 2*pi loses digits.
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    for m in range(1, 65):
+        jk = np.multiply.outer(np.arange(m), np.arange(m)) % m
+        exact = np.exp(np.clongdouble(2j) * (pi * jk / m)) / np.sqrt(np.longdouble(m))
+        assert np.abs(build_basis(m, "dft").matrix - exact).max() <= 1e-15
+
+
 def test_hadamard_rejects_non_power_of_two():
     with pytest.raises(UnsupportedBasisError, match="dft"):
         build_basis(6, "hadamard")

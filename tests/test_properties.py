@@ -276,9 +276,9 @@ def _reference_lower(state, phases):
 
 def _lowered_slots(state, lowering):
     """The slots of a lowering as the reference's ``(T, M)`` matrix: ``count``
-    where a mode is empty."""
+    where a mode is empty (slot -1 of a full lowering)."""
     if lowering.term is None:
-        return lowering.slot
+        return np.where(lowering.slot < 0, lowering.count, lowering.slot)
     slot = np.full(state._occ.size, lowering.count)
     slot[np.flatnonzero(state._occ)] = lowering.slot
     return slot.reshape(state._occ.shape)
@@ -331,8 +331,13 @@ def test_field_kernel_matches_reference_on_fixed_states(build, monkeypatch):
         _assert_lower_matches_reference(state, phases)
         layouts.append(state._layout)
     shared = layouts[0].shared
-    assert (layouts[0] is layouts[1]) == shared == (layouts[0]._lowering is not None)
+    assert (layouts[0] is layouts[1]) == shared
     assert shared == (build in list(_FIXED_STATES.values())[:9])  # the single photon, the ladders
+    # A coherent state holds a new head of the shared simplex: views of its
+    # arrays, with the kept lowering cut to its rows.
+    coherent = build in list(_FIXED_STATES.values())[9:14]
+    kept = layouts[0]._lowering is not None
+    assert kept == np.shares_memory(layouts[0].occ, layouts[1].occ) == (shared or coherent)
     if build is _sparse_sectors:  # the slots are renumbered, not shifted: np.unique ran
         amps = _lower(state, phases)[0]
         assert amps.size == len(_oracle_apply_field(state, phases))

@@ -3,15 +3,20 @@
 import cmath
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from brightdark import fock, states
+from brightdark.classify import classify_fock
 from brightdark.errors import CutoffError, DegenerateInputError, ResourceLimitError
-from brightdark.fock import ModePhases, apply_field, inner_product, tensor
+from brightdark.fock import ModePhases, StateVector, apply_field, inner_product, tensor
 from brightdark.states import (
     CoherentSpec,
-    _stars_and_bars,
+    _simplex,
     coherent_bright_dark_expansion,
     coherent_state,
     single_photon_state,
@@ -91,16 +96,183 @@ def test_coherent_zero_alpha_is_vacuum():
     assert state.terms == {(0, 0, 0): pytest.approx(1.0)}
 
 
+def _stars_and_bars(modes, total_max):
+    """All occupations of ``modes`` modes with sum <= total_max, in lexicographic
+    order, and their totals: the construction coherent states used before the
+    rank-ordered simplex, kept as the reference for it."""
+    occ = np.zeros((1, modes), dtype=np.int64)
+    left = np.array([total_max])
+    for m in range(modes):
+        counts = left + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        occ = np.repeat(occ, counts, axis=0)
+        occ[:, m] = np.arange(starts.size) - starts
+        left = np.repeat(left, counts) - occ[:, m]  # the photons left for the modes after m
+    return occ, total_max - left
+
+
 @pytest.mark.parametrize("modes", range(1, 6))
 def test_stars_and_bars_lists_the_occupations_in_lexicographic_order(modes):
     for total_max in range(7):
         want = [occ for occ in itertools.product(range(total_max + 1), repeat=modes)
                 if sum(occ) <= total_max]
-        got = _stars_and_bars(modes, total_max)
-        assert got.occ.dtype == got.photons.dtype == np.int64
-        assert got.occ.tolist() == [list(occ) for occ in want]
-        assert got.photons.tolist() == [sum(occ) for occ in want]
-        assert got.top == total_max
+        occ, photons = _stars_and_bars(modes, total_max)
+        assert occ.dtype == photons.dtype == np.int64
+        assert occ.tolist() == [list(occ) for occ in want]
+        assert photons.tolist() == [sum(occ) for occ in want]
+
+
+def _lexicographic_state(spec):
+    """coherent_state(spec) over the lexicographic occupations, with the same
+    amplitude products, on a layout of its own, lowered per call."""
+    modes, n_max = spec.phases.modes, spec.resolved_cutoff()
+    steps = np.ones((modes, n_max + 1), dtype=complex)
+    steps[:, 1:] = (spec.alpha * np.exp(1j * np.asarray(spec.phases.theta)))[:, None]
+    steps[:, 1:] /= np.sqrt(np.arange(1, n_max + 1))
+    per_mode = np.cumprod(steps, axis=1)
+    occ = _stars_and_bars(modes, n_max)[0]
+    amp = per_mode[0].take(occ[:, 0]) * math.exp(-spec.mean_total_photons / 2.0)
+    for m in range(1, modes):
+        amp *= per_mode[m].take(occ[:, m])
+    return StateVector._from_arrays(modes, occ, amp, n_max)
+
+
+def _rank(occ):
+    """Rank in the combinatorial number system: sum_k C(s_k + k, k + 1), with
+    s_k the photons in the last k + 1 modes."""
+    suffix = itertools.accumulate(reversed(occ))
+    return sum(math.comb(s + k, k + 1) for k, s in enumerate(suffix))
+
+
+@pytest.mark.parametrize("modes", range(1, 7))
+def test_simplex_row_t_has_rank_t(modes):
+    for top in range(7):
+        occ = _simplex(modes, top)
+        assert occ.dtype == np.int64
+        assert occ.shape == (math.comb(top + modes, modes), modes)
+        assert [_rank(row) for row in occ.tolist()] == list(range(len(occ)))
+        # So the field operator's lowered ranks are the rows of the lowered occupations.
+        lowered = fock._lowered_ranks(occ, top)
+        for t, m in zip(*np.nonzero(occ)):
+            row = occ[t].copy()
+            row[m] -= 1
+            assert np.array_equal(occ[lowered[t, m]], row)
+
+
+@pytest.mark.parametrize("modes", range(1, 6))
+def test_simplex_heads_are_prefixes_that_share_its_arrays(modes, monkeypatch):
+    monkeypatch.setattr(fock, "_SHARED", {})
+    top = 7
+    simplex = fock._shared_layout(("simplex", modes), modes, top, lambda: _simplex(modes, top),
+                                  dense=True)
+    kept = simplex.lowering()
+    for n in range(top + 1):
+        rows = math.comb(n + modes, modes)
+        assert np.array_equal(_simplex(modes, n), simplex.occ[:rows])
+        head = simplex.head(n)
+        assert head.top == n and head.photons.tolist() == simplex.photons[:rows].tolist()
+        low = head._lowering
+        for part, whole in [(head.occ, simplex.occ), (head.photons, simplex.photons),
+                            (low.slot, kept.slot), (low.index, kept.index)]:
+            assert np.shares_memory(part, whole)
+        # The cut lowering is the one the head's own rows give.
+        own = fock._lowering(head.occ, n, False)
+        assert low.count == own.count == math.comb(n - 1 + modes, modes)
+        assert low.term is own.term is None
+        assert np.array_equal(low.slot, own.slot) and np.array_equal(low.index, own.index)
+
+
+def test_a_larger_cutoff_rebuilds_the_simplex_once(monkeypatch):
+    monkeypatch.setattr(fock, "_SHARED", {})
+    builds = []
+    monkeypatch.setattr(states, "_simplex", lambda m, n: builds.append(n) or _simplex(m, n))
+    phases = ModePhases.locked(3, 0.4)
+    for n_max in (10, 14, 10, 14, 12):
+        state = coherent_state(CoherentSpec(0.3, phases, n_max=n_max))
+        assert state._occ.shape == (math.comb(n_max + 3, 3), 3)
+    assert builds == [10, 14]
+    assert fock._SHARED["simplex", 3].top == 14
+
+
+def test_threads_asking_for_cutoffs_keep_the_largest_simplex(monkeypatch):
+    monkeypatch.setattr(fock, "_SHARED", {})
+    phases = ModePhases.locked(3, 0.4)
+    cutoffs = [14 + (5 * k) % 8 for k in range(200)]  # no term pruned up to 21
+
+    def build(n_max):
+        state = coherent_state(CoherentSpec(0.6, phases, n_max=n_max))
+        return np.array_equal(state._occ, _simplex(3, n_max))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert all(pool.map(build, cutoffs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert fock._SHARED["simplex", 3].top == max(cutoffs)
+
+
+def test_a_larger_simplex_built_meanwhile_by_another_thread_stays(monkeypatch):
+    monkeypatch.setattr(fock, "_SHARED", {})
+    phases = ModePhases.locked(3, 0.4)
+    small_building, big_held = threading.Event(), threading.Event()
+
+    def simplex(modes, top):
+        if top < 21:  # the small set finishes its build after the large one is held
+            small_building.set()
+            assert big_held.wait(timeout=60)
+        return _simplex(modes, top)
+
+    monkeypatch.setattr(states, "_simplex", simplex)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        small = pool.submit(coherent_state, CoherentSpec(0.6, phases, n_max=15))
+        assert small_building.wait(timeout=60)
+        coherent_state(CoherentSpec(0.6, phases, n_max=21))
+        big_held.set()
+        assert small.result(timeout=60)._occ.shape == (math.comb(18, 3), 3)
+    assert fock._SHARED["simplex", 3].top == 21
+
+
+@pytest.mark.parametrize("modes", range(1, 6))
+def test_coherent_terms_equal_the_lexicographic_construction(modes):
+    for alpha in (0.3, 0.8 * cmath.exp(0.7j), 1.1j):
+        spec = CoherentSpec(alpha, ModePhases(modes, tuple(0.9 * m + 0.1 for m in range(modes))))
+        got, want = coherent_state(spec).terms, _lexicographic_state(spec).terms
+        assert got.keys() == want.keys()
+        assert all(repr(got[occ]) == repr(want[occ]) for occ in want)  # to the bit, signed zeros
+
+
+def _assert_classifies_as_lexicographic(spec, detection):
+    got = classify_fock(coherent_state(spec), detection)
+    want = classify_fock(_lexicographic_state(spec), detection)
+    assert got.beta == pytest.approx(want.beta, rel=1e-14, abs=0)
+    assert got.beta_max == pytest.approx(want.beta_max, rel=1e-14, abs=0)
+    assert got.label == want.label
+
+
+@pytest.mark.parametrize("modes", range(1, 6))
+def test_classify_fock_on_coherent_states_keeps_its_results(modes):
+    # Rows in rank order sum each lowered slot in another order: the last bits move.
+    for k, alpha in enumerate((0.3, 0.65 * cmath.exp(2.1j), 1.0)):
+        phases = ModePhases(modes, tuple((1.7 * k + 0.6) * m for m in range(modes)))
+        for step in (0.0, 2 * math.pi / modes, 0.37):
+            detection = ModePhases.locked(modes, step)
+            _assert_classifies_as_lexicographic(CoherentSpec(alpha, phases), detection)
+
+
+def test_a_simplex_past_the_cache_bound_is_built_per_call(monkeypatch):
+    monkeypatch.setattr(fock, "_SHARED", {})
+    phases = ModePhases.locked(5, 0.3)
+    coherent_state(CoherentSpec(0.3, phases))
+    held = dict(fock._SHARED)
+    spec = CoherentSpec(1.0, phases)
+    state = coherent_state(spec)
+    assert state._occ.shape == (201_371, 5)
+    assert not state._layout.shared and state._layout._lowering is None
+    assert fock._SHARED == held and fock._SHARED["simplex", 5].top == 11
+    _assert_classifies_as_lexicographic(spec, ModePhases.locked(5, 1.1))
+    assert fock._SHARED == held
 
 
 def test_coherent_norm_within_tail_tolerance():
