@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .counting import bright_to_dark_ratio
-from .errors import ConfigurationError
+from .errors import ConfigurationError, finite
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 # Published estimates quoted for the reference Ti:Sapphire configuration.
@@ -33,7 +33,7 @@ class CavityDesign:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
+            if not finite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
         for name in ("lambda0", "dlambda_g", "length", "pulse_duration", "rep_period"):
             if getattr(self, name) <= 0:

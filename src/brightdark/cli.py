@@ -2,12 +2,14 @@
 
 argparse reads the argv: ``--output`` on every subcommand, and exactly one of
 ``classify --phase`` or ``--phase-frac K/M`` (2*pi*K/M); a command only
-computes.  Every command prints a JSON document ``{"command", "params",
-"results"}`` (the pulse-train command can emit CSV instead); numbers are
-rounded to 12 significant digits so identical invocations produce
-byte-identical output.  The text is textio's: a document is written in
-chunks as it is formatted, and ``--output`` replaces its target only once
-the whole document is written.
+computes.  The parser of the subcommand named first reads the arguments after
+it; the top parser, which would only hand them over, runs where it writes text
+of its own (usage, help, an unknown command, arguments no subcommand takes).
+Every command prints a JSON document ``{"command", "params", "results"}``
+(the pulse-train command can emit CSV instead); numbers are rounded to 12
+significant digits so identical invocations produce byte-identical output.
+The text is textio's: a document is written in chunks as it is formatted, and
+``--output`` replaces its target only once the whole document is written.
 
 Exit codes: 0 success, 2 validation error or an ``--output`` that cannot be
 written, 3 resource limit, 4 internal error, which no argv the parser accepts
@@ -18,7 +20,6 @@ head``) is not an error: it exits 0.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -32,7 +33,7 @@ import numpy as np
 from .cavity import CavityDesign, ratio_report
 from .classify import DEFAULT_TOL, _locked, _scan_columns
 from .counting import dark_census, locked_dark_phases
-from .errors import DegenerateInputError, ResourceLimitError
+from .errors import DegenerateInputError, ResourceLimitError, finite
 from .pulses import LaserField, intensity_series, pulse_metrics, unlocked_intensity
 from .textio import _csv_chunks, _json_chunks, _Records, _write_chunks
 
@@ -103,7 +104,7 @@ def cmd_pulse_train(args) -> None:
         metrics = {"mean_intensity": mean, "max_intensity": float(np.max(intensity))}
     else:
         series = intensity_series(field, args.samples, args.periods)
-        metrics = dataclasses.asdict(pulse_metrics(series))
+        metrics = dict(vars(pulse_metrics(series)))
     if args.format == "csv":
         _write_chunks(_csv_chunks(series.metadata, series._columns, metrics), args.output)
     else:
@@ -130,7 +131,7 @@ def cmd_classify(args) -> None:
             f"single-photon interference needs at least 2 modes, got {args.m}"
         )
     if args.family == "coherent":
-        if not (math.isfinite(args.alpha.real) and math.isfinite(args.alpha.imag)):
+        if not finite(args.alpha):
             raise ValueError(f"alpha must be finite, got {args.alpha}")
         if args.alpha == 0:
             raise DegenerateInputError("alpha = 0 is the vacuum; trivially dark", vacuum=True)
@@ -145,7 +146,7 @@ def cmd_classify(args) -> None:
 
 def cmd_count_dark(args) -> None:
     census = dark_census(args.m, enumerate_states=args.enumerate)
-    results = dataclasses.asdict(census)
+    results = dict(vars(census))
     del results["modes"]  # already in params
     if args.m <= 64:
         results["locked_dark_phases"] = locked_dark_phases(args.m)
@@ -241,11 +242,26 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.add_argument("--output", help="write here instead of stdout")
         p._negative_number_matcher = _NEGATIVE_VALUE
+    parser._commands = sub.choices
     return parser
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """The namespace the top parser would give for ``argv``, parsed by the parser of
+    the subcommand that ``argv[0]`` names.  The top parser hands that parser every
+    later argument as it stands, so it runs only where it writes text of its own:
+    usage, help or an unknown command when ``argv`` names no subcommand, and the
+    ``unrecognized arguments`` error when the subcommand leaves some over."""
+    command = parser._commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(build_parser(), sys.argv[1:] if argv is None else list(argv))
     try:
         args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

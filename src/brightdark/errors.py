@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of plain numbers
+that turn Python's OverflowError and TypeError into a ValueError."""
+
+import math
+import operator
+
+
+def finite(value) -> bool:
+    """Whether a real or complex number is finite.  An int past the float range
+    (10**400), which math.isfinite and complex() refuse with OverflowError, is not."""
+    try:
+        return math.isfinite(value.real) and math.isfinite(value.imag)
+    except OverflowError:
+        return False
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int (it may be a numpy integer); ValueError for 2.0 or NaN."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class DimensionMismatchError(ValueError):

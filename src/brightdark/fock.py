@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ResourceLimitError
+from .errors import DimensionMismatchError, ResourceLimitError, finite
 
 # Amplitudes below this magnitude are dropped after every operation so that
 # exact zeros stay exact in sparse comparisons.
@@ -132,7 +132,7 @@ class ModePhases:
             raise DimensionMismatchError(
                 f"{len(self.theta)} phases for {self.modes} modes"
             )
-        if not all(math.isfinite(t) for t in self.theta):
+        if not all(map(finite, self.theta)):
             raise ValueError(f"phases must be finite, got {self.theta}")
         object.__setattr__(
             self, "theta", tuple(_reduce_phase(t) for t in self.theta)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError, ResourceLimitError
+from .errors import ResolutionError, ResourceLimitError, finite, integer
 from .textio import _Column, _csv_chunks
 
 SINGULARITY_EPS = 1e-12
@@ -51,7 +51,7 @@ class LaserField:
         if self.n_side < 1:
             raise ValueError(f"n_side must be >= 1, got {self.n_side}")
         for name in ("e0", "delta_omega", "phi"):
-            if not math.isfinite(getattr(self, name)):
+            if not finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_omega <= 0:
             raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
@@ -80,12 +80,16 @@ def dirichlet(modes: int, phase):
     singularity is at 0, where the limit is ``modes``.  For odd ``modes`` the
     result is 2*pi-periodic; for even ``modes`` only its magnitude is.  More
     than DIRICHLET_MAX_MODES modes raise ValueError: the kernel would be a
-    rounding artefact, or NaN once modes*phase/2 overflows.  So does a NaN or
-    infinite phase, which would fail the singularity test and read as the peak.
+    rounding artefact, or NaN once modes*phase/2 overflows.  So do a mode count
+    that is no integer, and a NaN, infinite or out-of-range phase, which would
+    fail the singularity test and read as the peak.
     """
-    if modes > DIRICHLET_MAX_MODES:  # compared exactly, as an int
+    if integer("the mode count", modes) > DIRICHLET_MAX_MODES:  # compared exactly
         raise ValueError("too many modes: the kernel would keep no digit of the phase")
-    x = np.asarray(phase, dtype=float)
+    try:
+        x = np.asarray(phase, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError("phase must be finite") from None
     if not np.isfinite(x).all():
         raise ValueError("phase must be finite")
     x = np.remainder(x + math.pi, 2.0 * math.pi) - math.pi

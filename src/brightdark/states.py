@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, DegenerateInputError, ResourceLimitError
+from .errors import CutoffError, DegenerateInputError, ResourceLimitError, finite, integer
 from .fock import ModePhases, StateVector, _shared_layout
 
 COHERENT_MAX_TERMS = 1_000_000  # Fock terms; also caps the photon cutoff search
+# Photons of a two-mode ladder: up to here every weight C(N, k)/2**N is at least
+# 2**-1000, a normal float, and a state builds in tens of milliseconds.
+TWO_MODE_MAX_PHOTONS = 1000
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,7 @@ class CoherentSpec:
     def __post_init__(self):
         if not 0.0 < self.cutoff_prob < 1.0:
             raise ValueError(f"cutoff_prob must be in (0, 1), got {self.cutoff_prob}")
-        a = complex(self.alpha)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        if not finite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
 
     @property
@@ -155,8 +157,15 @@ def coherent_state(spec: CoherentSpec) -> StateVector:
 
 
 def _two_mode_sum(n_photons: int, phi_tilde: float, dark: bool) -> StateVector:
+    n_photons = integer("the photon number", n_photons)
     if n_photons < 0:
         raise ValueError(f"photon number must be non-negative, got {n_photons}")
+    if n_photons > TWO_MODE_MAX_PHOTONS:
+        raise ResourceLimitError(
+            f"{n_photons} photons exceed the {TWO_MODE_MAX_PHOTONS}-photon two-mode bound"
+        )
+    if not finite(phi_tilde):
+        raise ValueError(f"phi_tilde must be finite, got {phi_tilde}")
     # N! / (2^N n! (N-n)!) as one exact integer ratio: no factorial leaves the float range.
     ratio = [math.comb(n_photons, k) / 2**n_photons for k in range(n_photons + 1)]
     n = np.arange(n_photons + 1)
@@ -199,9 +208,9 @@ def coherent_bright_dark_expansion(
         raise ValueError(f"branch must be 'bright' or 'dark', got {branch!r}")
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    a = complex(alpha)
-    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+    if not finite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
+    a = complex(alpha)
     r = math.hypot(a.real, a.imag)  # inf past the float range, where abs(a) raises
     if r == 0.0 or r * r == math.inf:  # the vacuum; or weights that peak near N = 2r^2
         return [complex(r == 0.0)] + [0j] * n_max

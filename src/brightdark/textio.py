@@ -20,6 +20,7 @@ import os
 import sys
 import threading
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -293,8 +294,16 @@ class _Records(NamedTuple):
     constants: dict
 
 
+# The text of the common leaf types by their exact type: what json.dumps writes for
+# them, a float rounded first (encode_basestring_ascii is json.dumps' own for a str).
+_LEAF_TEXT = {float: _json_number, int: str, str: encode_basestring_ascii}
+
+
 def _json_scalar(value) -> str:
     """A leaf's JSON text: integers exact, other reals through _json_number."""
+    text = _LEAF_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return str(int(value)) if isinstance(value, numbers.Integral) else _json_number(value)
     return json.dumps(value)
@@ -312,7 +321,7 @@ def _table_chunks(table, indent: int) -> Iterator[str]:
         lits, columns, text = [], [], "," + pad + "{"
         fields = table.columns | table.constants
         for n, key in enumerate(sorted(fields)):
-            text += ("," if n else "") + pad + "  " + json.dumps(key) + ": "
+            text += ("," if n else "") + pad + "  " + encode_basestring_ascii(key) + ": "
             if key in table.columns:
                 lits.append(text)
                 column = table.columns[key]
@@ -343,7 +352,8 @@ def _json_chunks(value, indent: int = 0) -> Iterator[str]:
         yield from _table_chunks(value, indent)
         return
     if isinstance(value, dict):
-        brackets, items = "{}", [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
+        brackets = "{}"
+        items = [(encode_basestring_ascii(k) + ": ", value[k]) for k in sorted(value)]
     else:
         brackets, items = "[]", [("", v) for v in value]
     pad, text = "\n" + " " * (indent + 2), brackets[0]

@@ -501,6 +501,73 @@ def test_parser_reuse_matches_a_fresh_parser(capsys, monkeypatch):
     assert _session(capsys) == cached
 
 
+_CLASSIFY = ["classify", "--m", "4", "--phase-frac", "1/4"]
+_ARGV_CORPUS = [
+    # a valid call of every subcommand
+    _CLASSIFY,
+    ["classify", "--m", "3", "--family", "coherent", "--alpha", "0.5+1j", "--phase", "0.7"],
+    ["count-dark", "--m", "6", "--enumerate"],
+    ["estimate-cavity", "--lambda0-nm", "780", "--dlambda-nm", "30", "--l-mm", "250"],
+    ["scan-phase", "--m", "4", "--grid", "8"],
+    ["pulse-train", "--n-side", "2", "--samples", "24", "--format", "json"],
+    ["pulse-train", "--n-side", "2", "--samples", "24", "--unlocked", "--seed", "3"],
+    # no subcommand named, and help
+    [], ["-h"], ["--help"], ["--he"], ["classify", "-h"], ["count-dark", "--m", "3", "--help"],
+    ["bogus"], ["bogus", "--m", "3"], ["classif", "--m", "3"], ["--", "classify"],
+    ["--m", "3", "classify"], ["-x"], ["-"],
+    # arguments left over, or refused by the subcommand
+    [*_CLASSIFY, "stray"], [*_CLASSIFY, "--bogus", "3"], [*_CLASSIFY, "--", "x"],
+    [*_CLASSIFY, "-h", "stray"], ["classify", "--", "--m", "4"], ["classify", "--m", "4"],
+    ["classify", "--m", "four", "--phase", "1"], ["count-dark", "--bogus"],
+    ["count-dark", "--m", "4", "--m"], ["scan-phase", "stray", "--m", "4", "--grid", "8"],
+    # abbreviations, = forms and repeated options
+    ["count-dark", "--m", "6", "--enum"], ["count-dark", "--m=3"], ["count-dark", "--m", "3", "--m", "5"],
+    ["classify", "--m=4", "--phase-frac=1/4", "--tol=1e-3"], ["count-dark", "--e"],
+    ["classify", "--m", "4", "--phase", "1", "--phase-frac", "1/4"],
+    # negative values
+    ["classify", "--m", "4", "--phase", "-1_0"], ["classify", "--m", "4", "--phase-frac", "-1/3"],
+    ["classify", "--m", "4", "--phase", "1", "--family", "coherent", "--alpha", "-1j"],
+    ["classify", "--m", "-1/3", "--phase", "1"], ["pulse-train", "--n-side", "2", "--phi", "-inf"],
+    # errors after a successful parse
+    ["count-dark", "--m", str(ENUMERATION_MAX_MODES + 1), "--enumerate"],
+    ["classify", "--m", "1", "--phase", "0.5"],
+]
+
+
+def _run(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
+def test_main_matches_the_top_parser_route(capsys, monkeypatch, argv):
+    """main parses through the subcommand's parser; the top parser, which hands every
+    argument after the command to that parser, gives the same exit code and bytes."""
+    fast = _run(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda parser, argv: parser.parse_args(argv))
+    assert _run(capsys, argv) == fast
+
+
+@pytest.mark.parametrize("argv", _ARGV_CORPUS[:7], ids=" ".join)
+def test_parse_gives_the_top_parser_namespace(argv):
+    # The same attributes in the same order, command included, which no output shows.
+    parser = cli.build_parser()
+    assert list(vars(cli._parse(parser, argv)).items()) == list(vars(parser.parse_args(argv)).items())
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["brightdark", *_CLASSIFY])
+    expected = _run(capsys, list(_CLASSIFY))
+    assert expected[0] == 0 and json.loads(expected[1])["results"]["label"] == "Dark"
+    assert _run(capsys, None) == expected
+    monkeypatch.setattr(sys, "argv", ["brightdark", *_CLASSIFY, "--bogus"])
+    code, out, err = _run(capsys, None)
+    assert (code, out) == (2, "") and "unrecognized arguments: --bogus" in err
+
+
 def test_estimate_cavity_reference(capsys):
     code, doc = run_json(
         capsys,

@@ -10,7 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from brightdark import fock, states
+from brightdark import fock, pulses, states
+from brightdark.cavity import CavityDesign
 from brightdark.classify import classify_fock
 from brightdark.errors import CutoffError, DegenerateInputError, ResourceLimitError
 from brightdark.fock import ModePhases, StateVector, apply_field, inner_product, tensor
@@ -515,3 +516,57 @@ def test_coherent_spec_invalid_cutoff_prob():
 def test_coherent_spec_rejects_non_finite_alpha():
     with pytest.raises(ValueError):
         CoherentSpec(complex("inf"), ModePhases.zero(2))
+
+
+@pytest.mark.parametrize("n", [states.TWO_MODE_MAX_PHOTONS + 1, 10**4, 2**63, 10**400],
+                         ids=["bound+1", "10**4", "2**63", "10**400"])
+def test_two_mode_ladder_past_the_photon_bound_is_refused(monkeypatch, n):
+    # Before the bound, each math.comb row cost O(N^2) bits: 10**4 took seconds,
+    # 2**63 ran out of memory and 10**400 ran without end.
+    monkeypatch.setattr(math, "comb", None)  # nothing is built
+    for build in (two_mode_bright, two_mode_dark):
+        with pytest.raises(ResourceLimitError, match="two-mode bound"):
+            build(n)
+
+
+@pytest.mark.parametrize("n", [2.0, math.nan, "3", None])
+def test_two_mode_ladder_refuses_a_photon_number_that_is_no_integer(n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        two_mode_bright(n)
+
+
+def test_two_mode_ladder_takes_a_numpy_integer():
+    assert two_mode_dark(np.int64(5), 0.3)._layout is two_mode_dark(5, 1.0)._layout
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, 10**400], ids=["nan", "inf", "10**400"])
+def test_two_mode_ladder_refuses_a_phase_that_is_not_finite(phi):
+    with pytest.raises(ValueError, match="phi_tilde must be finite"):
+        two_mode_bright(3, phi)
+
+
+# Library twin of the CLI contract: an int past the float range is refused with a
+# ValueError wherever the library converts it, never an OverflowError.
+_PAST_FLOAT = {
+    "dirichlet": lambda: pulses.dirichlet(5, 10**400),
+    "dirichlet-array": lambda: pulses.dirichlet(5, [0.0, 10**400]),
+    "LaserField": lambda: pulses.LaserField(3, e0=10**400),
+    "ModePhases.locked": lambda: ModePhases.locked(3, 10**400),
+    "CoherentSpec": lambda: CoherentSpec(10**400, ModePhases.zero(2)),
+    "CavityDesign": lambda: CavityDesign(lambda0=10**400, dlambda_g=30e-9, length=0.25),
+    "coherent_bright_dark_expansion": lambda: coherent_bright_dark_expansion(10**400, 3, "dark"),
+}
+
+
+@pytest.mark.parametrize("build", _PAST_FLOAT.values(), ids=_PAST_FLOAT.keys())
+def test_an_int_past_the_float_range_raises_value_error(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("modes", [math.nan, 2.5, 4.0, "4"])
+def test_dirichlet_refuses_a_mode_count_that_is_no_integer(modes):
+    # NaN passed the mode bound and returned NaN; 2.5 returned a number.
+    with pytest.raises(ValueError, match="mode count must be an integer"):
+        pulses.dirichlet(modes, 0.3)
+    assert pulses.dirichlet(np.int64(4), 0.3) == pulses.dirichlet(4, 0.3)
