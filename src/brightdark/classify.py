@@ -123,7 +123,7 @@ def _locked(modes: int, phases, tol: float):
     _check_tol(tol)
     kernel = dirichlet(modes, phases)  # refuses a mode count past 2**53 before math.sqrt
     beta_max = math.sqrt(modes)
-    betas = np.abs(kernel) / beta_max
+    betas = abs(kernel) / beta_max  # a Python float for a scalar phase
     return betas, _label_for(betas, beta_max, tol), beta_max
 
 

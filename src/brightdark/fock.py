@@ -17,13 +17,12 @@ The field operator ranks occupations in the combinatorial number system.
 Ranks are exact in int64 while ``C(top + M, M) < 2**63`` (``top`` the
 highest occupied sector), and the rank table has ``(M + 1) * (top + 1)``
 cells; past either bound (``RANK_LIMIT``, ``RANK_TABLE_MAX``) it raises
-ResourceLimitError before allocating.  Its lowering of a layout, the output
-slot of every entry (t, m) and its index ``n * M + m`` into the
-``(top + 1, M)`` root table, belongs to the layout.  A cached layout keeps
-that of its occupied entries, a simplex that of all its T*M cells, the
-empty ones on slot -1, the discarded last output cell; any other layout
-makes the latter per call, as on a dense layout carrying the empty modes
-costs less than dropping them.
+ResourceLimitError before allocating.  Its lowering of a layout lists the
+occupied entries (t, m), ``n_tm > 0``, in term-major order, each with its
+output slot, its term t and its index ``n * M + m`` into the ``(top + 1, M)``
+root table.  A cached layout keeps it and any other makes it per call; a
+simplex head's is the first ``M * C(top - 1 + M, M)`` entries of the
+simplex's, which are exactly the occupied entries of its rows.
 
 The kernels make flat passes over the ``(T, M)`` arrays.  With M a few
 modes, numpy runs a broadcast multi-index gather, ``sum(axis=1)`` or
@@ -155,19 +154,18 @@ class _Layout:
     States whose amplitudes change over the same occupations (``normalized``,
     the size-keyed constructors through ``_shared_layout``) hold one layout;
     ``states.coherent_state`` holds a ``head`` of a shared simplex.
-    ``lowering()`` gives the field operator's slots for it; a shared layout
-    keeps those of its occupied entries for its next state, or with ``dense``
-    those of every cell, which its heads cut; any other computes those of
-    every cell per call.
+    ``lowering()`` gives the field operator's lowering of its occupied
+    entries; a shared layout keeps it for its next state, and its heads cut
+    it; any other makes it per call.
     """
 
-    __slots__ = ("occ", "photons", "top", "shared", "dense", "_lowering")
+    __slots__ = ("occ", "photons", "top", "shared", "_lowering")
 
     def __init__(self, occ: np.ndarray, photons: np.ndarray, top: int):
         occ.setflags(write=False)
         photons.setflags(write=False)
         self.occ, self.photons, self.top = occ, photons, top
-        self.shared, self.dense, self._lowering = False, False, None
+        self.shared, self._lowering = False, None
 
     @classmethod
     def validated(cls, modes: int, cutoff: int, occ: np.ndarray) -> "_Layout":
@@ -192,23 +190,25 @@ class _Layout:
 
     def head(self, top: int) -> "_Layout":
         """The rows up to ``top`` photons of a dense simplex in rank order
-        (``states._simplex``), as views: row t has rank t, so their lowering is
-        the kept one's first rows, with the ``C(top - 1 + M, M)`` lowered ranks
-        as slots and the empty cells on slot -1 at every cutoff."""
+        (``states._simplex``), as views: row t has rank t, and lowering any of
+        its M modes maps the rows up to ``top`` photons one to one onto the
+        ``C(top - 1 + M, M)`` rows below, so the head's lowering is the kept
+        one's first ``M * C(top - 1 + M, M)`` entries, onto as many slots."""
         modes = self.occ.shape[1]
         rows = math.comb(top + modes, modes)
         head = _Layout(self.occ[:rows], self.photons[:rows], top)
         if self.shared:
-            low = self.lowering()
-            head._lowering = low._replace(slot=low.slot[:rows], index=low.index[:rows],
-                                          count=math.comb(top - 1 + modes, modes))
+            low, below = self.lowering(), math.comb(top - 1 + modes, modes)
+            entries = modes * below
+            head._lowering = _Lowering(low.slot[:entries], below, low.index[:entries],
+                                       low.term[:entries])
         return head
 
     def lowering(self) -> "_Lowering":
         """The field operator's lowering of ``occ``: kept if the layout is shared."""
         low = self._lowering
         if low is None:
-            low = _lowering(self.occ, self.top, self.shared and not self.dense)
+            low = _lowering(self.occ, self.top)
             if self.shared:
                 self._lowering = low
         return low
@@ -358,29 +358,27 @@ _SHARED_LOCK = threading.Lock()
 
 
 def _pinned_bytes(layout: _Layout) -> int:
-    """The array bytes a shared layout holds once its lowering is kept: two int64
-    words a cell of a dense one, its slot and root-table index, or at most three
-    an occupied entry of any other, its slot, row and index.  An occupation
-    matrix that views a larger one counts as a matrix of its own."""
+    """The array bytes a shared layout holds once its lowering is kept: its
+    occupations and photon totals, and three int64 words an occupied entry,
+    its slot, term and index.  An occupation matrix that views a larger one
+    counts as a matrix of its own."""
     occ = layout.occ
-    kept = 16 * occ.size if layout.dense else 24 * np.count_nonzero(occ)
-    return occ.nbytes + layout.photons.nbytes + kept
+    return occ.nbytes + layout.photons.nbytes + 24 * np.count_nonzero(occ)
 
 
-def _shared_layout(key, modes: int, cutoff: int, build, dense: bool = False) -> _Layout:
+def _shared_layout(key, modes: int, cutoff: int, build) -> _Layout:
     """The layout of ``build()``'s occupations, one for every call with ``key``
     up to the cutoff it was built for; a call past that rebuilds and replaces it.
 
     States built on it share its validation and its lowering.  The shared
     layouts pin at most LAYOUT_CACHE_BYTES, the oldest leaving first; a set
     larger than that is validated per call, as any other, and leaves the
-    smaller one held.  A ``dense`` layout keeps the lowering of every cell.
+    smaller one held.
     """
     layout = _SHARED.get(key)
     if layout is not None and layout.top >= cutoff:
         return layout
     layout = _Layout.validated(modes, cutoff, build())
-    layout.dense = dense
     size = _pinned_bytes(layout)
     if size <= LAYOUT_CACHE_BYTES:
         with _SHARED_LOCK:
@@ -449,55 +447,38 @@ def _lowered_ranks(occ: np.ndarray, top: int) -> np.ndarray:
 
 
 class _Lowering(NamedTuple):
-    """Where the field operator sends the entries (t, m) of an occupation matrix,
-    taken in term-major, mode-minor order: lowering mode m of term t lands on
-    output slot ``slot``, of ``count``, with the weight at flat index ``index =
-    n_tm * M + m`` of the ``(top + 1, M)`` root table, whatever ``top`` is.
-
-    ``term`` is None when the entries are every cell of the ``(T, M)`` matrix,
-    as made per call or kept dense, and the empty modes land on slot -1, the
-    last of ``count + 1``, which is discarded.  Any other shared layout with
-    an empty mode keeps only its occupied entries, ``n_tm > 0``, and ``term``
-    gives the row t of each.
-    """
+    """Where the field operator sends the occupied entries (t, m), ``n_tm > 0``,
+    of an occupation matrix, taken in term-major, mode-minor order: lowering
+    mode m of term ``term`` lands on output slot ``slot``, of ``count``, with
+    the weight at flat index ``index = n_tm * M + m`` of the ``(top + 1, M)``
+    root table, whatever ``top`` is."""
 
     slot: np.ndarray
     count: int
     index: np.ndarray
-    term: np.ndarray | None
+    term: np.ndarray
 
 
-def _lowering(occ: np.ndarray, top: int, compact: bool) -> _Lowering:
-    """The lowering of every cell of ``occ``, or with ``compact`` of its occupied
-    entries, where some mode is empty."""
+def _lowering(occ: np.ndarray, top: int) -> _Lowering:
+    """The lowering of the occupied entries of ``occ``."""
     modes, width = occ.shape[1], top + 1
     # The cheap table bound first: it keeps math.comb small.
     if (modes + 1) * width > RANK_TABLE_MAX or math.comb(top + modes, modes) >= RANK_LIMIT:
         raise ResourceLimitError(
             f"{modes} modes up to {top} photons exceed the Fock rank index bounds"
         )
-    slot = _lowered_ranks(occ, top)
-    empty = occ == 0
-    entries = np.count_nonzero(occ)
-    # -1 sits below every rank, and read as an unsigned integer above every
-    # rank, so two plain reductions find both ends of the occupied slots.
-    np.putmask(slot, empty, -1)
-    lo = int(slot.view(np.uint64).min(initial=RANK_LIMIT - 1))
-    hi = int(slot.max(initial=0))
-    if entries and hi - lo < entries:  # the ranks fill their range, as for coherent states
+    # t * M + m; numpy finds the nonzeros of a bool mask in half the time of int64's.
+    entry = np.flatnonzero(occ > 0)
+    term = entry // modes  # an int64 // costs a fraction of the % for m
+    slot = _lowered_ranks(occ, top).take(entry)
+    lo, hi = int(slot.min(initial=RANK_LIMIT - 1)), int(slot.max(initial=0))
+    if entry.size and hi - lo < entry.size:  # the ranks fill their range, as for coherent states
         slot -= lo
         count = hi - lo + 1
     else:
-        occupied = ~empty
-        distinct, inverse = np.unique(slot[occupied], return_inverse=True)
-        slot[occupied] = inverse
+        distinct, slot = np.unique(slot, return_inverse=True)
         count = distinct.size
-    np.putmask(slot, empty, -1)
-    index = occ * modes + np.arange(modes)
-    if not compact or entries == occ.size:  # no empty mode to leave out
-        return _Lowering(slot, count, index, None)
-    entry = np.flatnonzero(occ)
-    return _Lowering(slot.take(entry), count, index.take(entry), entry // modes)
+    return _Lowering(slot, count, (occ.take(entry) - term) * modes + entry, term)
 
 
 def _lower(state: StateVector, phases: ModePhases):
@@ -515,27 +496,28 @@ def _lower(state: StateVector, phases: ModePhases):
     # sqrt(n) * exp(i*theta_m) for every photon number n and mode m.
     root = np.sqrt(np.arange(state._top + 1))[:, None] * np.exp(1j * np.asarray(phases.theta))
     weight = root.ravel().take(low.index)
-    if low.term is None:
-        weight *= state._amp[:, None]
-    else:  # not in place, so that one entry takes the vector loop, as more cells in place do
+    if weight.size == 1 < state._occ.size:
+        # numpy rounds a one-element complex product in place without its vector
+        # loop: out of place one entry rounds as the same entry among more cells.
         weight = weight * state._amp.take(low.term)
-    amps = np.zeros(low.count + 1, dtype=complex)
-    np.add.at(amps, low.slot.ravel(), weight.ravel())  # in entry order, as np.bincount sums
-    return amps[:-1], low
+    else:
+        np.multiply(weight, state._amp.take(low.term), out=weight)
+    amps = np.zeros(low.count, dtype=complex)
+    np.add.at(amps, low.slot, weight)  # in entry order, as np.bincount sums
+    return amps, low
 
 
 def apply_field(state: StateVector, phases: ModePhases) -> StateVector:
     """Detection-point field operator: sum_m exp(i*theta_m) a_m, linear in the state."""
     amps, low = _lower(state, phases)
     # Every entry that lands on a slot names its occupation; -1 marks slots
-    # no entry reaches, and the last cell collects the empty modes.
-    source = np.full(amps.size + 1, -1)
-    source[low.slot.ravel()] = np.arange(low.slot.size)
-    reached = source[:-1] >= 0
-    entry = source[:-1][reached]
-    rows = entry // state.modes if low.term is None else low.term[entry]
-    cols = low.index.ravel()[entry] % state.modes
-    del low  # a (T, M) lowering is not needed while the output is built
+    # no entry reaches.
+    source = np.full(amps.size, -1)
+    source[low.slot] = np.arange(low.slot.size)
+    reached = source >= 0
+    entry = source[reached]
+    rows, cols = low.term.take(entry), low.index.take(entry) % state.modes
+    del low  # a lowering made per call is not needed while the output is built
     occ = state._occ[rows]
     occ[np.arange(rows.size), cols] -= 1
     return StateVector._from_arrays(state.modes, occ, amps[reached], state.cutoff)

@@ -146,8 +146,7 @@ def coherent_state(spec: CoherentSpec) -> StateVector:
     steps[:, 1:] = mode_amp[:, None] / np.sqrt(np.arange(1, n_max + 1))
     per_mode = np.cumprod(steps, axis=1)
 
-    simplex = _shared_layout(("simplex", modes), modes, n_max, lambda: _simplex(modes, n_max),
-                             dense=True)
+    simplex = _shared_layout(("simplex", modes), modes, n_max, lambda: _simplex(modes, n_max))
     layout = simplex.head(n_max)
     occ = layout.occ
     amp = per_mode[0].take(occ[:, 0]) * math.exp(-spec.mean_total_photons / 2.0)

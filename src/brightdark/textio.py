@@ -14,8 +14,6 @@ over as arrays or _Column slices.
 
 from __future__ import annotations
 
-import json
-import numbers
 import os
 import sys
 import threading
@@ -294,19 +292,21 @@ class _Records(NamedTuple):
     constants: dict
 
 
-# The text of the common leaf types by their exact type: what json.dumps writes for
-# them, a float rounded first (encode_basestring_ascii is json.dumps' own for a str).
-_LEAF_TEXT = {float: _json_number, int: str, str: encode_basestring_ascii}
+# The text of each leaf type by its exact type: what json.dumps writes for it, a
+# float rounded first (encode_basestring_ascii is json.dumps' own for a str).
+_LEAF_TEXT = {
+    float: _json_number, np.float64: _json_number, int: str, np.int64: str,
+    str: encode_basestring_ascii, bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
 
 def _json_scalar(value) -> str:
-    """A leaf's JSON text: integers exact, other reals through _json_number."""
+    """A leaf's JSON text: integers exact, floats through _json_number."""
     text = _LEAF_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return str(int(value)) if isinstance(value, numbers.Integral) else _json_number(value)
-    return json.dumps(value)
+    if text is None:
+        raise TypeError(f"no JSON text for a {type(value).__name__} leaf")
+    return text(value)
 
 
 def _table_chunks(table, indent: int) -> Iterator[str]:
@@ -326,7 +326,7 @@ def _table_chunks(table, indent: int) -> Iterator[str]:
                 lits.append(text)
                 column = table.columns[key]
                 if not isinstance(column, np.ndarray):
-                    quoted = {v: json.dumps(v) for v in set(column)}
+                    quoted = {v: encode_basestring_ascii(v) for v in set(column)}
                     column = np.array([quoted[v] for v in column], dtype="S")
                 columns.append(column)
                 text = ""

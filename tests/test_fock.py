@@ -354,6 +354,20 @@ def test_shared_layouts_pin_at_most_the_cache_bound(monkeypatch):
     assert fock._pinned_bytes(fock._SHARED["ladder", 80]) == 5784
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: single_photon_state(ModePhases.zero(6)), ("eye", 6)),
+    (lambda: two_mode_dark(9), ("ladder", 9)),
+    (lambda: coherent_state(CoherentSpec(0.5, ModePhases.zero(3))), ("simplex", 3)),
+])
+def test_pinned_bytes_count_the_kept_lowering(build, key, monkeypatch):
+    monkeypatch.setattr(fock, "_SHARED", {})
+    state = build()
+    classify_fock(state, ModePhases.zero(state.modes))  # keeps the lowering
+    layout = fock._SHARED[key]
+    assert layout._lowering is not None and layout.shared
+    assert fock._pinned_bytes(layout) == _layout_bytes(layout)
+
+
 def test_a_pruned_state_leaves_its_shared_layout_unchanged():
     shared = single_photon_state(ModePhases.zero(4))
     apply_field(shared, ModePhases.zero(4))

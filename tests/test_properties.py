@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brightdark.classify import classify_fock
+from brightdark.classify import _locked, classify_fock
 from brightdark.collective import build_basis, from_collective, to_collective
 from brightdark.errors import DegenerateInputError, DimensionMismatchError, ResourceLimitError
 from brightdark.fock import (
@@ -276,9 +276,7 @@ def _reference_lower(state, phases):
 
 def _lowered_slots(state, lowering):
     """The slots of a lowering as the reference's ``(T, M)`` matrix: ``count``
-    where a mode is empty (slot -1 of a full lowering)."""
-    if lowering.term is None:
-        return np.where(lowering.slot < 0, lowering.count, lowering.slot)
+    where a mode is empty."""
     slot = np.full(state._occ.size, lowering.count)
     slot[np.flatnonzero(state._occ)] = lowering.slot
     return slot.reshape(state._occ.shape)
@@ -334,7 +332,7 @@ def test_field_kernel_matches_reference_on_fixed_states(build, monkeypatch):
     assert (layouts[0] is layouts[1]) == shared
     assert shared == (build in list(_FIXED_STATES.values())[:9])  # the single photon, the ladders
     # A coherent state holds a new head of the shared simplex: views of its
-    # arrays, with the kept lowering cut to its rows.
+    # arrays, with the kept lowering cut to its entries.
     coherent = build in list(_FIXED_STATES.values())[9:14]
     kept = layouts[0]._lowering is not None
     assert kept == np.shares_memory(layouts[0].occ, layouts[1].occ) == (shared or coherent)
@@ -773,6 +771,17 @@ def test_json_records_with_uneven_float_columns_match_the_oracle(layout, rows):
     points = [{**{k: c[r] for k, c in columns.items()}, **constants} for r in range(rows)]
     want = json.dumps(_oracle_round_sig({"points": points}), sort_keys=True, indent=2)
     assert "".join(_json_chunks({"points": _Records(columns, constants)})) == want
+
+
+def test_json_leaves_are_written_by_exact_type():
+    leaves = [True, False, None, 7, np.int64(-7), 0.1, np.float64(0.1), 'a "b"\u00e9']
+    want = ["true", "false", "null", "7", "-7", "0.1", "0.1", '"a \\"b\\"\\u00e9"']
+    assert [textio._json_scalar(v) for v in leaves] == want
+    for other in (np.float32(0.5), np.bool_(True), 1j, [1]):
+        with pytest.raises(TypeError, match="no JSON text"):
+            textio._json_scalar(other)
+    beta, _, beta_max = _locked(4, 1.0, 1e-10)  # classify --phase's leaves
+    assert type(beta) is type(beta_max) is float
 
 
 @pytest.mark.parametrize("rows", row_counts)

@@ -164,8 +164,7 @@ def test_simplex_row_t_has_rank_t(modes):
 def test_simplex_heads_are_prefixes_that_share_its_arrays(modes, monkeypatch):
     monkeypatch.setattr(fock, "_SHARED", {})
     top = 7
-    simplex = fock._shared_layout(("simplex", modes), modes, top, lambda: _simplex(modes, top),
-                                  dense=True)
+    simplex = fock._shared_layout(("simplex", modes), modes, top, lambda: _simplex(modes, top))
     kept = simplex.lowering()
     for n in range(top + 1):
         rows = math.comb(n + modes, modes)
@@ -173,14 +172,19 @@ def test_simplex_heads_are_prefixes_that_share_its_arrays(modes, monkeypatch):
         head = simplex.head(n)
         assert head.top == n and head.photons.tolist() == simplex.photons[:rows].tolist()
         low = head._lowering
-        for part, whole in [(head.occ, simplex.occ), (head.photons, simplex.photons),
-                            (low.slot, kept.slot), (low.index, kept.index)]:
+        # Its entries are the kept ones' first: every mode lowered on the rows below n.
+        below = math.comb(n - 1 + modes, modes)
+        assert low.slot.size == np.count_nonzero(head.occ) == modes * below
+        parts = [(head.occ, simplex.occ), (head.photons, simplex.photons),
+                 (low.slot, kept.slot), (low.index, kept.index), (low.term, kept.term)]
+        for part, whole in parts if n else parts[:2]:  # the empty head at n=0 views no bytes
             assert np.shares_memory(part, whole)
         # The cut lowering is the one the head's own rows give.
-        own = fock._lowering(head.occ, n, False)
-        assert low.count == own.count == math.comb(n - 1 + modes, modes)
-        assert low.term is own.term is None
-        assert np.array_equal(low.slot, own.slot) and np.array_equal(low.index, own.index)
+        own = fock._lowering(head.occ, n)
+        assert low.count == own.count == below
+        for name in ("slot", "index", "term"):
+            part, mine = getattr(low, name), getattr(own, name)
+            assert part.dtype == mine.dtype == np.int64 and np.array_equal(part, mine)
 
 
 def test_a_larger_cutoff_rebuilds_the_simplex_once(monkeypatch):
